@@ -1747,10 +1747,10 @@ class EmitAutoropesLoop(_LoopEmitterBase):
 #
 # The remaining source-emitting paths in the repo, folded into the same
 # registry: the Fig. 4-8 pseudocode pretty-printers (documentation and
-# shape-asserting tests) and the standalone per-point Python backend
-# (the third implementation for differential testing).  Their public
-# entry points live in :mod:`repro.core.codegen` and :mod:`repro.core
-# .emit_python`, which are now thin shims over these passes.
+# shape-asserting tests, entry points in :mod:`repro.core.codegen`) and
+# the standalone per-point Python traversal, which the service runs for
+# its CPU backend and similarity probe (entry points below:
+# :func:`compile_traversal`, :func:`traversal_for`).
 
 
 @register_pass
@@ -1891,21 +1891,45 @@ class RenderIterativePseudocode(EmitPass):
 
 
 _SCALAR_PRELUDE = '''\
-def {name}(ctx, tree, pt, root):
-    """Generated by repro.core.emit_python — do not edit.
+def {name}(ctx, tree, pt, root, max_visits=10_000_000):
+    """Generated by repro.core.passes.EmitScalarPython — do not edit.
 
     Standalone autoropes traversal for one point: returns the visited
-    node ids in order and applies updates to ``ctx.out``.
+    node ids in order and applies updates to ``ctx.out``.  More than
+    ``max_visits`` visits raise RuntimeError (a cyclic child array or
+    a runaway spec), as in the recursive interpreter.
     """
     visits = []
-    stk = [(root, dict(_initial_args))]
-    while stk:
-        node, args = stk.pop()
-        if node < 0 and not _visits_null:
-            continue
-        if node >= 0:
-            visits.append(node)
+    visit = visits.append
+    rows = _node_rows(tree.n_nodes)
+    pa = _readonly1(pt)
 '''
+
+#: node-id table behind the scalar traversal's node arrays: row ``i``
+#: is a read-only one-element view holding ``i``, so a visit hands its
+#: callbacks one node array without allocating or copying data.  One
+#: table serves every kernel, so memory does not grow with the number
+#: of sessions; it only ever grows to the largest tree walked, and its
+#: contents are a function of the row index, so sharing it is
+#: unobservable.
+_NODE_ROWS = np.zeros((0, 1), dtype=np.int64)
+
+
+def _node_rows(n: int) -> np.ndarray:
+    global _NODE_ROWS
+    rows = _NODE_ROWS
+    if len(rows) < n:
+        rows = np.arange(max(n, 2 * len(rows)), dtype=np.int64).reshape(-1, 1)
+        rows.flags.writeable = False
+        _NODE_ROWS = rows
+    return rows
+
+
+def _readonly1(value) -> np.ndarray:
+    """A read-only one-element int64 array (the point, a null node)."""
+    arr = np.array([value], dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 @register_pass
@@ -1913,8 +1937,24 @@ class EmitScalarPython(EmitPass):
     """Emit the standalone per-point Python traversal (runnable Fig. 6/7).
 
     The function name comes from ``unit.bindings['emit_name']``
-    (default ``traverse``); the caller supplies the runtime namespace
-    (condition/update tables, arg-rule evaluators) at compile time.
+    (default ``traverse``).  The pass also fills ``unit.bindings`` with
+    the runtime namespace the source closes over: each condition,
+    update and arg rule bound under its own name, the initial
+    arguments, and the node-array helpers.  A visit then costs little
+    more than its callbacks:
+
+    * callbacks get one read-only node array per visit and one point
+      array per walk, shared by every callback of the visit;
+    * the stack carries argument dicts only when the spec has variant
+      arguments or call-site overrides; a visit then copies its dict
+      when it pushes children, once plus once per call site with
+      overrides.  Otherwise every callback sees the same read-only
+      initial arguments;
+    * child ids come from the tree's child arrays, bound once per walk.
+
+    Visit order, arguments and updates are those of the recursive
+    interpreter on the original spec, bit for bit (asserted by
+    ``tests/test_emit_python.py``), and so is its runaway guard.
     """
 
     def can_apply(self, unit: EmitUnit) -> bool:
@@ -1925,52 +1965,167 @@ class EmitScalarPython(EmitPass):
         )
 
     def apply(self, unit: EmitUnit) -> None:
-        name = unit.bindings.get("emit_name", "traverse")
-        lines: List[str] = [_SCALAR_PRELUDE.format(name=name).rstrip()]
-        body_lines: List[str] = []
-        self._emit(unit.kernel.body, body_lines, 2, unit.kernel)
-        lines.extend(body_lines)
-        lines.append(f"{_INDENT}return visits")
-        unit.source = "\n".join(lines)
+        kernel = unit.kernel
+        spec = kernel.spec
+        self._ns = ns = unit.bindings
+        self._spec = spec
+        self._null = spec.visits_null_children
+        self._child_vars: Dict[str, str] = {}
+        self._rule_args = tuple(a for a in spec.args if a.update is not None)
+        self._carry = bool(self._rule_args) or any(
+            call.arg_overrides for g in kernel.push_groups() for call in g.calls
+        )
+        initial_args = spec.initial_args(1)
+        for arr in initial_args.values():
+            arr.flags.writeable = False
+        ns.update(
+            _node_rows=_node_rows,
+            _readonly1=_readonly1,
+            _asarray=np.asarray,
+            _initial_args=initial_args,
+        )
+        w = SourceWriter()
+        prelude = _SCALAR_PRELUDE.format(name=ns.get("emit_name", "traverse"))
+        w.lines.extend(prelude.rstrip().split("\n"))
+        w.indent()
+        for child in _child_names(kernel):
+            w.line(f"{self._child_var(child)} = tree.children[{child!r}]")
+        if self._carry:
+            w.line("stk = [(root, _initial_args)]")
+        else:
+            w.line("args = _initial_args")
+            w.line("stk = [root]")
+        w.line("push = stk.append")
+        w.line("pop = stk.pop")
+        w.line("while stk:")
+        w.indent()
+        w.line("node, args = pop()" if self._carry else "node = pop()")
+        if self._null:
+            w.line("if node >= 0:")
+            w.indent()
+            self._emit_visit(w)
+            w.dedent()
+            w.line("else:")
+            w.line(f"{_INDENT}nd = _readonly1(node)")
+        else:
+            w.line("if node < 0:")
+            w.line(f"{_INDENT}continue")
+            self._emit_visit(w)
+        self._emit(kernel.body, w)
+        w.dedent()
+        w.line("return visits")
+        unit.source = w.source()
 
-    def _emit(
-        self, stmt: Stmt, lines: List[str], depth: int, kernel: IterativeKernel
-    ) -> None:
-        pad = _INDENT * depth
+    @staticmethod
+    def _emit_visit(w: SourceWriter) -> None:
+        w.line("visit(node)")
+        w.line("if len(visits) > max_visits:")
+        w.line(
+            f'{_INDENT}raise RuntimeError("traversal exceeded max_visits; '
+            'runaway spec?")'
+        )
+        w.line("nd = rows[node]")
+
+    # -- namespace -------------------------------------------------------
+
+    def _bind(self, prefix: str, key: str, value) -> str:
+        """Bind ``value`` in the namespace under a readable identifier."""
+        base = prefix + "".join(c if c.isalnum() else "_" for c in key)
+        ident, i = base, 1
+        while ident in self._ns and self._ns[ident] is not value:
+            i += 1
+            ident = f"{base}_{i}"
+        self._ns[ident] = value
+        return ident
+
+    def _child_var(self, child: str) -> str:
+        """The walk's local holding ``tree.children[child]``."""
+        var = self._child_vars.get(child)
+        if var is None:
+            var = "_ch_" + "".join(c if c.isalnum() else "_" for c in child)
+            while var in self._child_vars.values():
+                var += "_"
+            self._child_vars[child] = var
+        return var
+
+    def _child_expr(self, child: str) -> str:
+        var = self._child_var(child)
+        if self._null:
+            return f"({var}[node] if node >= 0 else -1)"
+        return f"{var}[node]"
+
+    def _rule_expr(self, decl, rule: str, args_var: str) -> str:
+        fn = self._bind("_r_", rule, self._spec.arg_rules[rule])
+        dtype = self._bind("_dt_", decl.name, decl.dtype)
+        return (
+            f"_asarray({fn}(ctx, nd, pa, {args_var}))"
+            f".astype({dtype}, copy=False)"
+        )
+
+    # -- statements ------------------------------------------------------
+
+    def _emit(self, stmt: Stmt, w: SourceWriter) -> None:
+        spec = self._spec
         if isinstance(stmt, Seq):
             if not stmt.stmts:
-                lines.append(f"{pad}pass")
-                return
+                w.line("pass")
             for s in stmt.stmts:
-                self._emit(s, lines, depth, kernel)
+                self._emit(s, w)
         elif isinstance(stmt, If):
-            lines.append(
-                f"{pad}if _cond[{stmt.cond.name!r}]"
-                f"(ctx, _n1(node), _p1(pt), args)[0]:"
-            )
-            self._emit(stmt.then, lines, depth + 1, kernel)
+            fn = self._bind("_c_", stmt.cond.name, spec.conditions[stmt.cond.name])
+            w.line(f"if {fn}(ctx, nd, pa, args)[0]:")
+            w.indent()
+            self._emit(stmt.then, w)
+            w.dedent()
             if stmt.orelse is not None:
-                lines.append(f"{pad}else:")
-                self._emit(stmt.orelse, lines, depth + 1, kernel)
+                w.line("else:")
+                w.indent()
+                self._emit(stmt.orelse, w)
+                w.dedent()
         elif isinstance(stmt, Update):
-            lines.append(
-                f"{pad}_upd[{stmt.fn.name!r}](ctx, _n1(node), _p1(pt), args)"
-            )
+            fn = self._bind("_u_", stmt.fn.name, spec.updates[stmt.fn.name])
+            w.line(f"{fn}(ctx, nd, pa, args)")
         elif isinstance(stmt, Continue):
-            lines.append(f"{pad}continue")
+            w.line("continue")
         elif isinstance(stmt, PushGroup):
-            lines.append(f"{pad}new_args = _visit_args(ctx, node, pt, args)")
-            for call in stmt.push_order:
-                overrides = dict(call.arg_overrides)
-                lines.append(
-                    f"{pad}stk.append(("
-                    f"_child(tree, {call.child.name!r}, node), "
-                    f"_site_args(ctx, node, pt, new_args, "
-                    f"{sorted(overrides.items())!r})"
-                    f"))"
-                )
+            self._emit_push_group(stmt, w)
         else:
             raise TypeError(f"cannot emit {type(stmt).__name__}")
+
+    def _emit_push_group(self, stmt: PushGroup, w: SourceWriter) -> None:
+        if not self._carry:
+            for call in stmt.push_order:
+                w.line(f"push({self._child_expr(call.child.name)})")
+            return
+        # Declaration-level rules run once per visit on its incoming
+        # arguments, and every call of the visit starts from the result
+        # (the interpreter evaluates them lazily at the first call).
+        new_args = "args"
+        if self._rule_args:
+            new_args = "new_args"
+            w.line("new_args = dict(args)")
+            for decl in self._rule_args:
+                expr = self._rule_expr(decl, decl.update, "args")
+                w.line(f"new_args[{decl.name!r}] = {expr}")
+        decls = {a.name: a for a in self._spec.args}
+        for call in stmt.push_order:
+            call_args = new_args
+            if call.arg_overrides:
+                call_args = w.fresh("site_args")
+                w.line(f"{call_args} = dict({new_args})")
+                for arg_name, rule in call.arg_overrides:
+                    expr = self._rule_expr(decls[arg_name], rule, new_args)
+                    w.line(f"{call_args}[{arg_name!r}] = {expr}")
+            w.line(f"push(({self._child_expr(call.child.name)}, {call_args}))")
+
+
+def _child_names(kernel: IterativeKernel) -> Tuple[str, ...]:
+    """Child slots the kernel pushes, in first-use order."""
+    seen: Dict[str, None] = {}
+    for g in kernel.push_groups():
+        for call in g.calls:
+            seen.setdefault(call.child.name, None)
+    return tuple(seen)
 
 
 # -- entry points ------------------------------------------------------------
@@ -2043,3 +2198,48 @@ def step_loop_for(executor, kind: str):
     if fn is None:
         fn = cache[key] = compile_step_loop(kernel, facts)
     return fn
+
+
+def emit_traversal_source(kernel: IterativeKernel, name: str = "traverse") -> str:
+    """The per-point traversal's source, as :func:`compile_traversal`
+    compiles it."""
+    return _scalar_unit(kernel, name).source
+
+
+def compile_traversal(kernel: IterativeKernel, name: str = "traverse") -> Callable:
+    """Emit and ``exec``-compile the per-point traversal of ``kernel``.
+
+    The callable's signature is ``fn(ctx, tree, pt, root,
+    max_visits=10_000_000) -> list``: it returns the visited node ids
+    and applies the updates to ``ctx.out``, exactly as
+    :meth:`repro.cpusim.recursive.RecursiveInterpreter.run_point` does
+    on the original spec.  ``__source__`` carries the emitted text.
+    """
+    unit = _scalar_unit(kernel, name)
+    ns = dict(unit.bindings)
+    exec(compile(unit.source, f"<emitted {kernel.spec.name}>", "exec"), ns)
+    fn = ns[name]
+    fn.__source__ = unit.source
+    return fn
+
+
+def traversal_for(kernel: IterativeKernel) -> Callable:
+    """The per-point traversal of ``kernel``, emitted on first use.
+
+    Memoized on the kernel instance like :func:`~repro.core.compile
+    .program_for`, so a plan recompile (``refresh_plan``) drops the
+    function together with its plan.
+    """
+    fn = kernel.__dict__.get("_scalar_traversal")
+    if fn is None:
+        fn = compile_traversal(kernel)
+        object.__setattr__(kernel, "_scalar_traversal", fn)
+    return fn
+
+
+def _scalar_unit(kernel: IterativeKernel, name: str) -> EmitUnit:
+    unit = EmitUnit(
+        kernel=kernel, facts=None, mode="scalar_python",
+        bindings={"emit_name": name},
+    )
+    return run_pipeline(unit)

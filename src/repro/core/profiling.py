@@ -9,8 +9,10 @@ close to each member's own traversal, and the lockstep variant is
 chosen; otherwise the non-lockstep variant runs.
 
 This module is deliberately decoupled from any particular interpreter:
-callers supply ``visit_fn(point_index) -> array of visited node ids``
-(typically :meth:`repro.cpusim.recursive.RecursiveInterpreter.visits`).
+callers supply ``visit_fn(point_index) -> visited node ids``: the
+service passes the plan's generated per-point traversal
+(:func:`repro.core.passes.traversal_for`), tests and examples
+:meth:`repro.cpusim.recursive.RecursiveInterpreter.run_point`.
 """
 
 from __future__ import annotations

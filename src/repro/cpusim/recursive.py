@@ -3,9 +3,11 @@
 Interprets the *original* recursive :class:`~repro.core.ir.TraversalSpec`
 body, one point at a time, by actual recursion — the semantics every
 transformed variant must preserve (Section 3.3). It is deliberately
-simple and slow; tests use it as the ground-truth oracle for visit
-order and results, and the Section 4.4 profiler uses its per-point
-visit sets.
+simple and slow; tests and examples use it as the ground-truth oracle
+for visit order and results.  The service's CPU backend and Section
+4.4 similarity probe run the generated per-point traversal instead
+(:func:`repro.core.passes.traversal_for`), which the tests hold
+bit-identical to this interpreter.
 
 Bulk runs (the CPU baseline's timing input and result arrays) come from
 replaying the autoropes kernel vectorized — the transformation is

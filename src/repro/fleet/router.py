@@ -55,8 +55,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -89,6 +88,9 @@ from repro.telemetry import (
     merge_labeled_exports,
     sum_exports,
 )
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 #: buckets for the time-to-recovery histogram (logical ms).
 RECOVERY_MS_BUCKETS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0, 5000.0)
@@ -1626,6 +1628,10 @@ class FleetServer:
     def start(self) -> Tuple[str, int]:
         if self._httpd is not None:
             raise RuntimeError("fleet server already started")
+        # Imported on first listen: a process that serves no HTTP never
+        # loads http.server, http.client or ssl.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         server = self
 
         class _Handler(BaseHTTPRequestHandler):

@@ -14,8 +14,10 @@ queries (the pairs that will share a warp) with
   swamp the coalescing benefit, so each thread traverses independently
   (GPU, per-thread interleaved rope stacks);
 * ``cpu`` — batches below ``min_gpu_batch``: a kernel launch cannot
-  amortize over a handful of points, so the recursive interpreter
-  serves them directly, priced by the CPU model.
+  amortize over a handful of points, so the plan's autoropes kernel
+  walks them one point at a time through its generated per-point
+  traversal (:func:`repro.core.passes.traversal_for`), priced by the
+  CPU model from the visit sequences.
 
 Ragged batches launch as-is: the executors pad the trailing warp and
 (since the padding fix in :mod:`repro.gpusim.warp`) charge no phantom
@@ -29,8 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.passes import traversal_for
 from repro.core.profiling import TraversalSimilarity, sample_similarity
-from repro.cpusim.recursive import RecursiveInterpreter
 from repro.cpusim.threads import cpu_time_ms
 from repro.gpusim.executors import (
     AutoropesExecutor,
@@ -240,15 +242,17 @@ class AdaptiveDispatcher:
     def profile(self, session: TreeSession, coords: np.ndarray) -> TraversalSimilarity:
         """Sample neighboring queries' traversal similarity (Section 4.4).
 
-        Probes run the recursive reference interpreter on a scratch
-        context, so profiling never touches the batch's real results.
+        Probes walk the plan's generated per-point traversal on a
+        scratch context, so profiling never touches the batch's real
+        results.
         """
         cfg = self.config
         scratch = session.make_batch_ctx(coords)
-        probe = RecursiveInterpreter(session.app.spec, session.tree, scratch)
+        walk = traversal_for(session.plan.autoropes)
+        tree = session.tree
         n = len(coords)
         return sample_similarity(
-            probe.run_point,
+            lambda p: walk(scratch, tree, p, tree.root),
             n_points=n,
             n_samples=min(cfg.similarity_samples, n - 1),
             threshold=cfg.similarity_threshold,
@@ -485,8 +489,12 @@ class AdaptiveDispatcher:
 
     def _run_cpu(self, session: TreeSession, coords: np.ndarray) -> ExecOutcome:
         ctx = session.make_batch_ctx(coords)
-        interp = RecursiveInterpreter(session.app.spec, session.tree, ctx)
-        sequences = interp.run_points(range(len(coords)))
+        walk = traversal_for(session.plan.autoropes)
+        tree = session.tree
+        sequences = [
+            np.array(walk(ctx, tree, p, tree.root), dtype=np.int64)
+            for p in range(len(coords))
+        ]
         timing = cpu_time_ms(
             sequences,
             threads=self.config.cpu_threads,

@@ -40,8 +40,7 @@ import json
 import signal
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -50,6 +49,9 @@ from repro.service.resilience import ServiceError
 from repro.service.service import TraversalService
 from repro.telemetry import LEVELS
 from repro.telemetry.metrics import OPENMETRICS_CONTENT_TYPE
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 #: OpenMetrics exposition content type — the format the registry emits
 #: (exemplars require it; a real Prometheus negotiates and parses it).
@@ -183,6 +185,10 @@ class TraversalServer:
         """
         if self._httpd is not None:
             raise RuntimeError("server already started")
+        # Imported on first listen: a process that serves no HTTP never
+        # loads http.server, http.client or ssl.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         server = self
 
         class _Handler(BaseHTTPRequestHandler):

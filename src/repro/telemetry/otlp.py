@@ -48,8 +48,6 @@ import hashlib
 import json
 import math
 import threading
-import urllib.error
-import urllib.request
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
@@ -445,6 +443,11 @@ class OTLPExporter:
     def _post(self, signal: str, payload: dict) -> bool:
         """POST one signal batch; True on 2xx, False (counted) on any
         failure.  Never raises and never retries in place."""
+        # Imported on first POST: a process that exports nothing never
+        # loads urllib.request, http.client or ssl.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(payload, allow_nan=False).encode()
         req = urllib.request.Request(
             self._urls[signal],

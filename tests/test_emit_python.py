@@ -1,52 +1,105 @@
-"""Differential tests for the Python code-generation backend: emitted
-source vs scalar recursion vs the vectorized executors."""
+"""Differential tests for the generated per-point traversal
+(:class:`repro.core.passes.EmitScalarPython`): emitted source vs scalar
+recursion, bit for bit."""
 
 import numpy as np
 import pytest
 
-from repro.core.emit_python import compile_traversal, emit_traversal_source
+from repro.core.passes import (
+    compile_traversal,
+    emit_traversal_source,
+    traversal_for,
+)
 from repro.cpusim.recursive import RecursiveInterpreter
+
+
+def assert_bit_identical(got, want, err_msg=""):
+    """Same dtype, shape and bytes (so -0.0 vs 0.0 and NaN payloads
+    count as differences, unlike a numeric comparison)."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want, err_msg=err_msg)
+    assert got.dtype == want.dtype, err_msg
+    assert got.tobytes() == want.tobytes(), err_msg
+
+
+def assert_outs_identical(got_ctx, want_ctx, err_msg=""):
+    assert sorted(got_ctx.out) == sorted(want_ctx.out)
+    for key in want_ctx.out:
+        assert_bit_identical(
+            got_ctx.out[key], want_ctx.out[key], err_msg=f"{err_msg}: {key}"
+        )
 
 
 class TestEmission:
     def test_source_is_readable_python(self, compiled_apps):
         src = emit_traversal_source(compiled_apps["pc"].autoropes)
-        assert "def traverse(ctx, tree, pt, root):" in src
-        assert "stk.pop()" in src
+        assert "def traverse(ctx, tree, pt, root, max_visits=10_000_000):" in src
+        assert "node = pop()" in src
         assert "continue" in src
         compile(src, "<check>", "exec")  # syntactically valid
 
     def test_reversed_push_order_in_source(self, compiled_apps):
         src = emit_traversal_source(compiled_apps["pc"].autoropes)
         # Fig. 6: right pushed before left.
-        assert src.index("'right', node") < src.index("'left', node")
+        assert src.index("push(_ch_right[node])") < src.index("push(_ch_left[node])")
 
     def test_callable_carries_source(self, compiled_apps):
         fn = compile_traversal(compiled_apps["pc"].autoropes)
         assert "def traverse" in fn.__source__
 
+    def test_callbacks_bound_by_name(self, compiled_apps):
+        src = emit_traversal_source(compiled_apps["pc"].autoropes)
+        assert "_c_cannot_correlate(ctx, nd, pa, args)[0]" in src
+        assert "_u_count_bucket(ctx, nd, pa, args)" in src
+        assert "_cond[" not in src and "_upd[" not in src
+
+    def test_args_copied_only_with_variant_args(self, compiled_apps):
+        # pc has no arguments: the stack holds bare node ids.
+        pc = emit_traversal_source(compiled_apps["pc"].autoropes)
+        assert "dict(" not in pc and "stk = [root]" in pc
+        # bh's dsq is variant: one copy per visit, shared by the 8 pushes.
+        bh = emit_traversal_source(compiled_apps["bh"].autoropes)
+        assert bh.count("dict(") == 1
+        assert bh.count("push((") == 8
+
+    def test_callbacks_get_read_only_arrays(self, compiled_apps, all_apps):
+        app = all_apps["pc"]
+        kernel = compiled_apps["pc"].autoropes
+        fn = traversal_for(kernel)
+        seen = []
+        cond = kernel.spec.conditions["cannot_correlate"]
+
+        def spy(ctx, node, pt, args):
+            seen.append((node.flags.writeable, pt.flags.writeable, node.shape))
+            return cond(ctx, node, pt, args)
+
+        fn.__globals__["_c_cannot_correlate"] = spy
+        try:
+            fn(app.make_ctx(), app.tree, 0, app.tree.root)
+        finally:
+            fn.__globals__["_c_cannot_correlate"] = cond
+        assert seen and all(s == (False, False, (1,)) for s in seen)
+
 
 class TestDifferential:
     @pytest.mark.parametrize("name", ["pc", "knn", "nn", "vp", "bh"])
     def test_emitted_matches_recursion(self, name, all_apps, compiled_apps):
+        """Every point of every app: visit sequences and the whole
+        ``ctx.out`` bit-identical to the interpreter on the original
+        spec (bh carries a variant argument)."""
         app = all_apps[name]
-        kernel = compiled_apps[name].autoropes
-        fn = compile_traversal(kernel)
+        fn = compile_traversal(compiled_apps[name].autoropes)
 
         gen_ctx = app.make_ctx()
         ref_ctx = app.make_ctx()
         interp = RecursiveInterpreter(app.spec, app.tree, ref_ctx)
-        for p in range(0, app.n_points, 41):
+        for p in range(app.n_points):
             got = fn(gen_ctx, app.tree, p, app.tree.root)
             want = interp.run_point(p)
-            np.testing.assert_array_equal(np.array(got), want, err_msg=name)
-        # Results of the sampled points agree too.
-        for key in gen_ctx.out:
-            if isinstance(gen_ctx.out[key], np.ndarray):
-                idx = np.arange(0, app.n_points, 41)
-                np.testing.assert_allclose(
-                    gen_ctx.out[key][idx], ref_ctx.out[key][idx], rtol=1e-9
-                )
+            assert_bit_identical(
+                np.array(got, dtype=np.int64), want, err_msg=f"{name} point {p}"
+            )
+        assert_outs_identical(gen_ctx, ref_ctx, err_msg=name)
 
     def test_emitted_handles_normalized_inorder(self):
         """The pushed-down (phantom-visiting) form emits correctly."""
@@ -90,16 +143,57 @@ class TestDifferential:
             updates={"u": rec},
         )
         compiled = TransformPipeline().compile(spec)
+        assert compiled.normalized.visits_null_children
         fn = compile_traversal(compiled.autoropes)
         ctx = EvalContext(
             tree=tree,
             points=QuerySet(coords=np.zeros((1, 1)), orig_ids=np.arange(1)),
             out={},
         )
-        fn(ctx, tree, 0, tree.root)
+        got = fn(ctx, tree, 0, tree.root)
         emitted_order = list(log)
         log.clear()
-        RecursiveInterpreter(spec, tree, ctx).run_point(0)
+        want = RecursiveInterpreter(spec, tree, ctx).run_point(0)
         assert emitted_order == log
+        assert_bit_identical(np.array(got, dtype=np.int64), want)
         # it really is the in-order sequence over the preorder layout
         assert sorted(emitted_order) == list(range(n))
+
+
+class TestRunawayGuard:
+    def test_guard_trips_on_cycle(self, all_apps, compiled_apps):
+        """A child array that points the root back at itself loops
+        forever; the guard's bound ends the walk in milliseconds."""
+        import time
+        from dataclasses import replace
+
+        app = all_apps["pc"]
+        children = {k: v.copy() for k, v in app.tree.children.items()}
+        children["left"][app.tree.root] = app.tree.root
+        tree = replace(app.tree, children=children)
+        fn = traversal_for(compiled_apps["pc"].autoropes)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="max_visits"):
+            fn(app.make_ctx(), tree, 0, tree.root, max_visits=2_000)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_guard_bound_matches_interpreter(self, all_apps, compiled_apps):
+        """Both engines fail on the same walk at the same bound."""
+        app = all_apps["pc"]
+        fn = traversal_for(compiled_apps["pc"].autoropes)
+        visits = len(fn(app.make_ctx(), app.tree, 0, app.tree.root))
+        assert visits > 1
+        for bound in (visits - 1, visits):
+            interp = RecursiveInterpreter(
+                app.spec, app.tree, app.make_ctx(), max_visits=bound
+            )
+            if bound < visits:
+                with pytest.raises(RuntimeError, match="max_visits"):
+                    interp.run_point(0)
+                with pytest.raises(RuntimeError, match="max_visits"):
+                    fn(app.make_ctx(), app.tree, 0, app.tree.root, max_visits=bound)
+            else:
+                assert len(interp.run_point(0)) == visits
+                assert len(
+                    fn(app.make_ctx(), app.tree, 0, app.tree.root, max_visits=bound)
+                ) == visits

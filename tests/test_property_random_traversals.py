@@ -8,7 +8,9 @@ node) truncation and call-order decisions,
   order, of true recursion (Section 3.3's correctness claim);
 * the lockstep executor performs exactly the same per-point *updates*
   (set semantics), with masks, votes and phantom carrying handled;
-* the recursive-baseline executors also produce identical updates.
+* the recursive-baseline executors also produce identical updates;
+* the generated per-point traversal (the service's CPU engine) visits
+  the same nodes and leaves ``ctx.out`` bit-identical to recursion.
 """
 
 import numpy as np
@@ -30,6 +32,7 @@ from repro.core.ir import (
     Update,
     UpdateRef,
 )
+from repro.core.passes import traversal_for
 from repro.core.pipeline import TransformPipeline
 from repro.cpusim.recursive import RecursiveInterpreter
 from repro.gpusim.device import small_test_device
@@ -255,3 +258,84 @@ def test_inorder_normalization_property(tree_seed, salt, n_nodes, n_pts):
         return out
 
     assert per_point(ref_log) == per_point(gpu_log)
+
+
+def assert_bit_identical(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(
+    tree_seed=st.integers(0, 10_000),
+    salt=st.integers(0, 10_000),
+    n_nodes=st.integers(1, 60),
+    n_pts=st.integers(1, 20),
+    guided=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_generated_traversal_equals_recursion(
+    tree_seed, salt, n_nodes, n_pts, guided
+):
+    """The generated traversal of the autoropes kernel: same visit
+    sequence per point and bit-identical ``ctx.out``."""
+    rng = np.random.default_rng(tree_seed)
+    tree = random_tree(rng, n_nodes)
+    spec = make_spec(salt, guided=guided)
+    walk = traversal_for(PIPELINE.compile(spec).autoropes)
+
+    ctx = make_ctx(tree, n_pts)
+    ref_ctx = make_ctx(tree, n_pts)
+    interp = RecursiveInterpreter(spec, tree, ref_ctx)
+    for p in range(n_pts):
+        got = np.array(walk(ctx, tree, p, tree.root), dtype=np.int64)
+        assert_bit_identical(got, interp.run_point(p))
+    for key in ref_ctx.out:
+        assert_bit_identical(ctx.out[key], ref_ctx.out[key])
+
+
+@given(
+    tree_seed=st.integers(0, 5_000),
+    salt=st.integers(0, 5_000),
+    n_nodes=st.integers(2, 40),
+    n_pts=st.integers(2, 16),
+)
+@settings(max_examples=20, deadline=None)
+def test_generated_inorder_equals_recursion(tree_seed, salt, n_nodes, n_pts):
+    """The pushed-down normal form (phantom visits, ``__pend`` and
+    ``__parent`` site overrides) through the generated traversal: the
+    exact update sequence of recursion, not only per-point sets."""
+    rng = np.random.default_rng(tree_seed)
+    tree = random_tree(rng, n_nodes)
+
+    def truncate(ctx, node, pt, args):
+        return _hash01(node, ctx.points.orig_ids[pt], salt)
+
+    log = []
+
+    def record(ctx, node, pt, args):
+        log.append((int(pt[0]), int(node[0])))
+
+    spec = TraversalSpec(
+        name="inorder",
+        body=Seq(
+            If(CondRef("truncate"), Return()),
+            Recurse(ChildRef("left")),
+            Update(UpdateRef("rec")),
+            Recurse(ChildRef("right")),
+        ),
+        conditions={"truncate": truncate},
+        updates={"rec": record},
+    )
+    compiled = PIPELINE.compile(spec)
+    assert compiled.normalized.visits_null_children
+    walk = traversal_for(compiled.autoropes)
+
+    interp = RecursiveInterpreter(spec, tree, make_ctx(tree, n_pts))
+    want = [interp.run_point(p) for p in range(n_pts)]
+    ref_log, log[:] = list(log), []
+    ctx = make_ctx(tree, n_pts)
+    got = [walk(ctx, tree, p, tree.root) for p in range(n_pts)]
+    assert log == ref_log
+    for g, w in zip(got, want):
+        assert_bit_identical(np.array(g, dtype=np.int64), w)

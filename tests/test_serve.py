@@ -254,3 +254,27 @@ class TestHTTPServer:
         assert server.driver.ticks > 0
         assert any("serving on http://" in m for m in messages)
         assert svc.queue_depth == 0
+
+
+def test_import_leaves_http_stack_unloaded():
+    """Importing the service and fleet loads no HTTP client/server or
+    TLS module: a process that serves no HTTP keeps them out of memory
+    (the listeners and the OTLP exporter import them on first use)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys; import repro.service, repro.fleet; "
+        "print(sorted(m for m in ('ssl', 'http.client', 'http.server', "
+        "'urllib.request') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "[]"
