@@ -1,16 +1,16 @@
-"""Wall-clock benchmark of the plan-compiled, frontier-compacted engine.
+"""Wall-clock benchmark of the two execution engines.
 
 Unlike the pytest benchmarks in ``benchmarks/`` — which compare the
 *simulated* costs of the paper's traversal variants — this harness
-times the simulator itself: the same launch executed by the original
-per-step AST interpreter (``engine="interp"``, per-step validation on,
-matching the seed executors), by the plan-compiled engine with
-frontier compaction (``engine="compiled"``, the default), and by the
-generated-source engine (``engine="codegen"``, the whole per-step body
-emitted and ``exec``-compiled through :mod:`repro.core.passes`).
+times the simulator itself: the same launch executed by the per-step
+AST interpreter (``engine="interp"``, per-step validation on, matching
+the seed executors) and by the generated-source engine
+(``engine="codegen"``, the default: the whole per-step body emitted
+from the kernel's op program and ``exec``-compiled through
+:mod:`repro.core.passes`, with frontier compaction).
 
 Every timed cell is also a differential test: the run aborts unless the
-three engines produce bit-identical simulated stats, identical
+two engines produce bit-identical simulated stats, identical
 per-point node counts, and (in ``--verify-visits`` mode) identical
 visit logs.  Speed without equivalence is a bug, not a result.
 
@@ -19,7 +19,8 @@ Run from the repository root::
     PYTHONPATH=src python -m benchmarks.perf            # full trajectory
     PYTHONPATH=src python -m benchmarks.perf --smoke    # CI-sized subset
     PYTHONPATH=src python -m benchmarks.perf --check    # nonzero exit if
-                                                        # compiled loses
+                                                        # codegen loses to
+                                                        # interp or the seed
     PYTHONPATH=src python -m benchmarks.perf --jobs 4   # cells in parallel,
                                                         # one pinned CPU each
 
@@ -52,6 +53,7 @@ from repro.gpusim.executors import (
     LockstepExecutor,
     TraversalLaunch,
 )
+from repro.gpusim.executors.common import ENGINES
 from repro.gpusim.stack import RopeStackLayout
 from repro.harness.config import SCALES, ExperimentScale
 from repro.harness.runner import ExperimentRunner
@@ -62,12 +64,12 @@ from repro.harness.runner import ExperimentRunner
 #: compaction matters most, vp/random keeps an even-frontier
 #: counterexample in the mix.  The pc/geocity *flagship* runs at the
 #: xlarge tier — per-element work dominating per-call overhead is where
-#: the compiled engine's headline speedup lives — and times lockstep
+#: the codegen engine's headline speedup lives — and times lockstep
 #: only (autoropes at 131k thread stacks would dominate the wall-clock
 #: budget without adding information).  The ``-unsorted`` input variant
 #: runs the same dataset with point order *shuffled* instead of
 #: Morton-sorted (the paper's sorted-vs-unsorted axis): divergence goes
-#: up, traversals get longer, and the cell shows whether the compiled
+#: up, traversals get longer, and the cell shows whether the codegen
 #: engine's win survives hostile input order.
 ALL_EXECUTORS: Tuple[str, ...] = ("autoropes", "lockstep")
 
@@ -91,8 +93,8 @@ def parse_input(input_name: str) -> Tuple[str, bool]:
     return input_name, True
 
 #: CI-sized subset.  Medium scale: below it runs finish in well under a
-#: second and the interp/compiled comparison is timer noise; medium is
-#: the smallest tier where the compiled engine wins every cell with
+#: second and the interp/codegen comparison is timer noise; medium is
+#: the smallest tier where the codegen engine wins every cell with
 #: reliable margin.
 SMOKE_WORKLOADS: Tuple[Tuple[str, str, str, Tuple[str, ...]], ...] = (
     ("pc", "geocity", "medium", ALL_EXECUTORS),
@@ -275,7 +277,7 @@ def measure_seed_baseline(
 
 
 def _merge_seed_speedups(report: dict, seed: Optional[dict]) -> None:
-    """Attach seed wall times / speedups to the matching report rows.
+    """Attach seed wall times / speedups to the matching codegen rows.
 
     Also cross-checks simulated stats: the seed run must agree with
     the in-tree engines on steps and visit counts, or the trajectory
@@ -291,7 +293,7 @@ def _merge_seed_speedups(report: dict, seed: Optional[dict]) -> None:
     vs_seed = []
     for srow in seed["rows"]:
         key = (srow["app"], srow["input"], srow["scale"], srow["executor"])
-        crow = by_cell.get(key + ("compiled",))
+        crow = by_cell.get(key + ("codegen",))
         if crow is None:
             continue
         for stat in ("steps", "node_visits", "warp_node_visits"):
@@ -307,17 +309,20 @@ def _merge_seed_speedups(report: dict, seed: Optional[dict]) -> None:
                 "scale": srow["scale"],
                 "executor": srow["executor"],
                 "seed_s": srow["wall_s"],
-                "compiled_s": crow["wall_s"],
+                "codegen_s": crow["wall_s"],
                 "speedup": round(srow["wall_s"] / crow["wall_s"], 2),
             }
         )
     report["speedups_vs_seed"] = vs_seed
     lockstep = [s["speedup"] for s in vs_seed if s["executor"] == "lockstep"]
     report["max_lockstep_speedup_vs_seed"] = max(lockstep) if lockstep else None
+    report["min_speedup_vs_seed"] = (
+        min(s["speedup"] for s in vs_seed) if vs_seed else None
+    )
 
 
 def measure_telemetry_overhead(
-    engines: Tuple[str, ...] = ("interp", "compiled", "codegen"),
+    engines: Tuple[str, ...] = ENGINES,
     n_points: int = 2048,
     n_queries: int = 512,
     repeat: int = 3,
@@ -450,7 +455,7 @@ def _time_run(executor_cls, launches: List[TraversalLaunch]):
 
 def _assert_equivalent(
     app: str, executor: str, ri, rc, verify_visits: bool,
-    engine: str = "compiled",
+    engine: str = "codegen",
 ) -> None:
     di, dc = ri.stats.as_dict(), rc.stats.as_dict()
     if di != dc:
@@ -480,13 +485,13 @@ def run_cell(
     verify_visits: bool = False,
     runner: Optional[ExperimentRunner] = None,
 ) -> dict:
-    """Time one workload cell: all three engines, every requested executor.
+    """Time one workload cell: both engines, every requested executor.
 
     Returns plain ``{"rows": [...], "speedups": [...]}`` dicts so the
     cell is a valid :class:`repro.fleet.pool.ProcessPool` job
     (``"benchmarks.perf:run_cell"``) — ``--jobs N`` runs cells in
     pinned worker processes, serial mode calls it inline.  The
-    interp/compiled equivalence assertions run inside the cell, so a
+    interp/codegen equivalence assertions run inside the cell, so a
     divergence fails the job (and with it the whole run) either way.
     """
     dataset, sorted_points = parse_input(input_name)
@@ -502,7 +507,7 @@ def run_cell(
     speedups: List[dict] = []
     for exec_name, exec_cls, kernel in variants:
         per_engine: Dict[str, Tuple[float, object]] = {}
-        for engine in ("interp", "compiled", "codegen"):
+        for engine in ENGINES:
             launches = [
                 _launch(app, kernel, engine, verify_visits)
                 for _ in range(repeat)
@@ -524,12 +529,8 @@ def run_cell(
                 )
             )
         wi, ri = per_engine["interp"]
-        wc, rc = per_engine["compiled"]
         wg, rg = per_engine["codegen"]
-        _assert_equivalent(bench, exec_name, ri, rc, verify_visits)
-        _assert_equivalent(bench, exec_name, ri, rg, verify_visits,
-                           engine="codegen")
-        sp = wi / wc if wc > 0 else float("inf")
+        _assert_equivalent(bench, exec_name, ri, rg, verify_visits)
         speedups.append(
             {
                 "app": bench,
@@ -537,13 +538,8 @@ def run_cell(
                 "scale": scale_name,
                 "executor": exec_name,
                 "interp_s": round(wi, 4),
-                "compiled_s": round(wc, 4),
                 "codegen_s": round(wg, 4),
-                "speedup": round(sp, 2),
                 "codegen_speedup": round(wi / wg if wg > 0 else float("inf"), 2),
-                "codegen_vs_compiled": round(
-                    wc / wg if wg > 0 else float("inf"), 2
-                ),
             }
         )
     return {"rows": [r.as_dict() for r in rows], "speedups": speedups}
@@ -590,11 +586,12 @@ def run_benchmark(
         for s in cell["speedups"]:
             log(
                 f"{s['app']}/{s['input']}@{s['scale']} {s['executor']}: "
-                f"interp {s['interp_s']:.3f}s, compiled {s['compiled_s']:.3f}s, "
-                f"codegen {s['codegen_s']:.3f}s -> {s['speedup']:.2f}x / "
-                f"{s['codegen_speedup']:.2f}x (stats identical)"
+                f"interp {s['interp_s']:.3f}s, codegen {s['codegen_s']:.3f}s "
+                f"-> {s['codegen_speedup']:.2f}x (stats identical)"
             )
-    lockstep_sp = [s["speedup"] for s in speedups if s["executor"] == "lockstep"]
+    lockstep_sp = [
+        s["codegen_speedup"] for s in speedups if s["executor"] == "lockstep"
+    ]
     report = {
         "meta": {
             "scales": sorted({w[2] for w in workloads}),
@@ -607,13 +604,8 @@ def run_benchmark(
         "rows": rows,
         "speedups": speedups,
         "max_lockstep_speedup": max(lockstep_sp) if lockstep_sp else None,
-        "min_speedup": min(s["speedup"] for s in speedups) if speedups else None,
         "min_codegen_speedup": (
             min(s["codegen_speedup"] for s in speedups) if speedups else None
-        ),
-        "max_codegen_vs_compiled": (
-            max(s["codegen_vs_compiled"] for s in speedups)
-            if speedups else None
         ),
     }
     return report
@@ -624,7 +616,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     ap = argparse.ArgumentParser(
         prog="benchmarks.perf",
-        description="Time interp vs compiled engines; write BENCH_perf.json",
+        description="Time interp vs codegen engines; write BENCH_perf.json",
     )
     ap.add_argument(
         "--scale",
@@ -641,8 +633,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 if the compiled or codegen engine is slower than the "
-        "interpreter on any workload",
+        help="exit 1 if the codegen engine is slower than the interpreter "
+        "on any workload, or than the seed executors on any seed cell",
     )
     ap.add_argument("--repeat", type=int, default=1, help="best-of-N timing")
     ap.add_argument(
@@ -710,14 +702,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{report['max_lockstep_speedup_vs_seed']}x"
         )
     if args.check:
-        for field, engine in (
-            ("min_speedup", "compiled"),
-            ("min_codegen_speedup", "codegen"),
+        for field, baseline in (
+            ("min_codegen_speedup", "the interpreter"),
+            ("min_speedup_vs_seed", "the seed executors"),
         ):
             floor = report.get(field)
             if floor is not None and floor < 1.0:
                 print(
-                    f"FAIL: {engine} engine slower than interpreter "
+                    f"FAIL: codegen engine slower than {baseline} "
                     f"(min speedup {floor}x)",
                     file=sys.stderr,
                 )

@@ -17,7 +17,7 @@ Run from the repository root::
 
 The history file (``BENCH_trend.json`` by default) is append-only JSON
 so it can live as a CI artifact and be re-downloaded between runs.
-Comparisons use ``wall_s`` — the quantity the compiled engine exists
+Comparisons use ``wall_s`` — the quantity the codegen engine exists
 to shrink; ``model_time_ms`` is carried along and compared at zero
 tolerance because the simulated cost model is deterministic: *any*
 model-time change means the semantics moved, not the machine.

@@ -26,7 +26,7 @@ Run: ``python examples/custom_traversal.py``
 import numpy as np
 
 from repro.apps.base import QuerySet
-from repro.core.codegen import render_iterative, render_recursive
+from repro.core.passes import render_iterative, render_recursive
 from repro.core.ir import (
     ChildRef,
     CondRef,

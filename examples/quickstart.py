@@ -16,7 +16,7 @@ Run: ``python examples/quickstart.py``
 import numpy as np
 
 from repro.apps.pointcorr import build_pointcorr_app
-from repro.core.codegen import render_iterative, render_recursive
+from repro.core.passes import render_iterative, render_recursive
 from repro.core.pipeline import TransformPipeline
 from repro.cpusim.threads import cpu_time_ms
 from repro.gpusim.device import TESLA_C2070

@@ -16,8 +16,14 @@
   points are sorted enough for lockstep (Section 4.4).
 * :mod:`repro.core.pipeline` — the end-to-end "compiler" driver
   (Section 5).
-* :mod:`repro.core.codegen` — pseudocode pretty-printer for original and
-  transformed kernels (reproduces the shapes of Figures 4-8).
+* :mod:`repro.core.compile` — lowers a transformed kernel to the linear
+  op program the code generator consumes.
+* :mod:`repro.core.passes` — the transformation-pass registry and every
+  source-emitting backend: the generated step loops of
+  ``engine="codegen"``, the per-point Python traversal, and the
+  pseudocode pretty-printer for original and transformed kernels
+  (``render_recursive``/``render_iterative``, the shapes of Figures
+  4-8).
 """
 
 from repro.core.ir import (

@@ -1,7 +1,9 @@
 """Plan compilation: IR kernels -> linear programs of pre-resolved ops.
 
-The executors in :mod:`repro.gpusim.executors` originally re-walked the
-autoropes AST on every traversal step: per-step ``isinstance`` dispatch,
+The op program is the code generator's input IR: the pass pipeline in
+:mod:`repro.core.passes` lowers it into the step loop that
+``engine="codegen"`` runs.  Interpreting the AST directly, as
+``engine="interp"`` does, pays per-step ``isinstance`` dispatch,
 per-``If`` dictionary lookups of condition callbacks by name, per-push
 linear scans of the argument declarations, and a re-derivation of the
 branch kind (vote vs. structural vs. predicated) from
@@ -24,7 +26,7 @@ module hoists it into a one-time compile:
   along a kernel body (branches split it, ``Continue`` clears it), so
   a group already read by an earlier op of the same step is charged to
   a superset of the current warps — the executors' per-step charge
-  dedup makes the second charge a guaranteed no-op, and the compiled
+  dedup makes the second charge a guaranteed no-op, and the op
   program simply drops it.
 
 Programs are memoized on the kernel instance via :func:`program_for`,
@@ -36,9 +38,9 @@ tree-schema-agnostic: child names and field-group names are resolved
 against the launch's tree and memory regions at bind time, exactly as
 the interpreter did.
 
-The executors' interpreters are kept (``TraversalLaunch(engine=
-"interp")``) as the differential baseline; ``benchmarks/perf`` asserts
-the two engines produce bit-identical simulated stats.
+The executors' interpreters stay (``TraversalLaunch(engine="interp")``)
+as the reference; the differential tests and ``benchmarks/perf`` assert
+that the generated loops reproduce their simulated stats bit for bit.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ class CompiledProgram:
         enumeration :meth:`op_histogram` counts over); the label is
         :func:`op_label`'s engine-agnostic name, which the continuous
         kernel profiler uses to key per-op cost attribution so interp
-        and compiled runs of the same kernel aggregate onto identical
+        and codegen runs of the same kernel aggregate onto identical
         series.
         """
         return tuple((i, op_label(op)) for i, op in enumerate(self.walk()))
@@ -215,10 +217,10 @@ class CompiledProgram:
 def op_label(op) -> str:
     """Engine-agnostic label for a compiled op *or* an AST statement.
 
-    Both executors' engines key profiler attribution by this label:
-    the compiled walker passes :class:`CondOp`/:class:`UpdateOp`/
+    Both engines key profiler attribution by this label: the
+    generated loops pass :class:`CondOp`/:class:`UpdateOp`/
     :class:`PushGroupOp`/:class:`ContinueOp` records, the interp
-    baseline passes the original :class:`~repro.core.ir.If`/
+    reference passes the original :class:`~repro.core.ir.If`/
     :class:`~repro.core.ir.Update`/
     :class:`~repro.core.autoropes.PushGroup` statements — the same
     kernel position produces the same label either way, so hot-op

@@ -15,7 +15,8 @@ CompiledProgram` into an annotated op tree and emits standalone source
 for the executor's whole per-step loop:
 
 * conditions are inlined as direct calls to the pre-bound callables,
-  with the compiled engine's dense-grid evaluation heuristic baked in;
+  with a dense-grid evaluation heuristic baked in (evaluate the whole
+  lane grid and mask when nearly every lane is live);
 * branch-kind dispatch (vote / warp-uniform / predicate) is resolved at
   emit time — each ``If`` becomes exactly the code its kind needs;
 * consecutive field-group loads are fused: loads issued under provably
@@ -39,10 +40,12 @@ it in the shared :class:`~repro.core.plancache.PlanCache` keyed by
 (plan key, variant, plan epoch, device digest) so ``refresh_plan``
 eviction and epoch bumps make a stale function unservable.
 
-Differential testing is the safety net: ``tests/test_engine_
-equivalence.py`` proves codegen, compiled and interp produce
-bit-identical simulated stats on all five benchmarks, sorted and
-unsorted, with and without chaos.
+Differential testing is the safety net: ``tests/test_codegen_engine.py``
+and ``tests/test_engine_equivalence.py`` prove codegen and interp produce
+bit-identical simulated stats, traces, visit logs and outputs on all
+five benchmarks, with and without chaos, and
+``tests/test_property_random_traversals.py`` proves it on random trees
+across the loop-facts axes.
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ from repro.core.compile import (
 from repro.core.ir import If, Recurse, Return, Seq, Stmt, TraversalSpec, Update
 
 _INDENT = "    "
+
+#: below this many warps (lockstep stack rows, autoropes warp groups)
+#: the frontier-compaction gather costs more than it saves; the
+#: emitted loops carry it as a literal.
+MIN_COMPACT_WARPS = 8
 
 #: optional observer called with ``(name, source)`` every time a loop
 #: body is emitted — the CLI's ``--dump-source`` hangs a writer here.
@@ -266,7 +274,7 @@ def _base_executor_for(kind: str):
 
 @dataclass
 class ChargeSite:
-    """One field-group load site in walker order."""
+    """One field-group load site in execution order."""
 
     group: str
     index: int  # global site index for this group (0-based)
@@ -328,7 +336,7 @@ class LowerProgram(EmitPass):
 
     The one rewrite it performs is dead-tail truncation: ops that
     follow a ``ContinueOp`` in the same sequence can never execute (the
-    walker returns on the continue), so they are dropped from the tree
+    interpreter returns on the continue), so they are dropped from the tree
     instead of being emitted behind an unreachable guard.
     """
 
@@ -406,7 +414,7 @@ class PlanFieldCharges(EmitPass):
     """Plan the per-step field-group load (charge) sites.
 
     Walks the tree in execution order (then-arm before else-arm, the
-    walker's order) and annotates every load site:
+    interpreter's order) and annotates every load site:
 
     * groups loaded at exactly one site need no ``seen`` dedup mask at
       all — the emitted load charges the site's live warps directly;
@@ -637,7 +645,7 @@ class _LoopEmitterBase(EmitPass):
     def _emit_seq(self, nodes: List[ONode], lv: str) -> None:
         """Emit a guarded op sequence over live-mask variable ``lv``.
 
-        The walker re-checks liveness before every op; liveness only
+        The interpreter re-checks liveness before every op; liveness only
         changes at branch merges and ``Continue``, so the emitted code
         re-guards only after conditions — everything in between runs
         under one proven-live region (the Sakka et al. framing).
@@ -1148,7 +1156,7 @@ class EmitLockstepLoop(_LoopEmitterBase):
             w.line("n_on = int(warp_on.sum())")
         if facts.compact:
             w.line(
-                "if stack.n_stacks >= 8 "
+                f"if stack.n_stacks >= {MIN_COMPACT_WARPS} "
                 "and n_on < stack.n_stacks * threshold:"
             )
             w.indent()
@@ -1230,7 +1238,14 @@ class EmitLockstepLoop(_LoopEmitterBase):
     # -- ops -----------------------------------------------------------------
 
     def _emit_eval_lanes(self, fn: str, lv: str, cn: str) -> str:
-        """Inline ``_eval_cond_lanes`` with the dense-grid heuristic."""
+        """Per-lane condition evaluation with the dense-grid heuristic.
+
+        When at least 95% of the lanes are live, one call over the full
+        grid masked afterwards beats the nonzero/gather/scatter round
+        trip the interpreter's ``_eval_cond_lanes`` takes; conditions
+        are pure row-wise predicates, so every live lane's result is
+        the same either way.
+        """
         w = self.w
         WS = self.unit.facts.ws
         nl = w.fresh("nl")
@@ -1571,7 +1586,7 @@ class EmitAutoropesLoop(_LoopEmitterBase):
             w.line("L.guard(step, stack)")
         if facts.compact:
             w.line("grps = stack.n_stacks // ws")
-            w.line("if grps >= 8:")
+            w.line(f"if grps >= {MIN_COMPACT_WARPS}:")
             w.indent()
             w.line("gl = (stack.sp > 0).reshape(-1, ws).any(axis=1)")
             w.line("if int(gl.sum()) < grps * threshold:")
@@ -1747,10 +1762,11 @@ class EmitAutoropesLoop(_LoopEmitterBase):
 #
 # The remaining source-emitting paths in the repo, folded into the same
 # registry: the Fig. 4-8 pseudocode pretty-printers (documentation and
-# shape-asserting tests, entry points in :mod:`repro.core.codegen`) and
-# the standalone per-point Python traversal, which the service runs for
-# its CPU backend and similarity probe (entry points below:
-# :func:`compile_traversal`, :func:`traversal_for`).
+# shape-asserting tests; entry points below: :func:`render_recursive`,
+# :func:`render_iterative`) and the standalone per-point Python
+# traversal, which the service runs for its CPU backend and similarity
+# probe (entry points below: :func:`compile_traversal`,
+# :func:`traversal_for`).
 
 
 @register_pass
@@ -2178,7 +2194,7 @@ def step_loop_for(executor, kind: str):
     """Resolve (emitting at most once) the step loop for an executor.
 
     Memoized on the kernel instance keyed by the loop-facts digest, the
-    same pattern ``program_for`` uses for compiled programs; the
+    same pattern ``program_for`` uses for the op program; the
     service layer adds a second cache in the shared plan cache so
     eviction and plan-epoch bumps also drop generated functions.
     """
@@ -2198,6 +2214,20 @@ def step_loop_for(executor, kind: str):
     if fn is None:
         fn = cache[key] = compile_step_loop(kernel, facts)
     return fn
+
+
+def render_recursive(spec: TraversalSpec) -> str:
+    """Render the original recursive form (the Fig. 4/5 style)."""
+    unit = EmitUnit(
+        kernel=None, facts=None, mode="render_recursive", spec=spec
+    )
+    return run_pipeline(unit).source
+
+
+def render_iterative(kernel: IterativeKernel) -> str:
+    """Render an autoropes (or lockstep) kernel in the Fig. 6/7/8 style."""
+    unit = EmitUnit(kernel=kernel, facts=None, mode="render_iterative")
+    return run_pipeline(unit).source
 
 
 def emit_traversal_source(kernel: IterativeKernel, name: str = "traverse") -> str:

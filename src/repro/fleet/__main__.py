@@ -92,7 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-batch", type=int, default=256)
     parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--sort", choices=SORT_MODES, default="morton")
-    parser.add_argument("--engine", choices=ENGINES, default="compiled")
+    parser.add_argument("--engine", choices=ENGINES, default="codegen")
     serve = parser.add_argument_group("HTTP front-end")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(

@@ -13,14 +13,17 @@ evaluated for all live threads at once, both branch arms execute under
 complementary masks (charging the SIMT both-sides issue cost), and
 ``Continue`` clears a thread's live bit for the rest of the body.
 
-The default ``engine="compiled"`` runs the plan-compiled op program
-(:mod:`repro.core.compile`) instead of re-walking the AST, and applies
-**frontier compaction** at warp granularity: when the fraction of warps
-with any live thread drops below ``launch.compact_threshold``, whole
-warp groups of stacks (plus point ids and invariant argument values)
-are gathered into compact arrays.  Lanes never migrate between warps
-and rows keep their original stack ids, so the coalescing, L2, and
-issue accounting are bit-identical to the full-width run.
+That interpreter (``engine="interp"``) is the reference engine.  The
+default ``engine="codegen"`` runs the step loop that
+:mod:`repro.core.passes` emits for this (kernel, launch facts) pair
+and applies **frontier compaction** at warp granularity: when the
+fraction of warps with any live thread drops below
+``launch.compact_threshold``, the loop calls
+:meth:`AutoropesExecutor._compact_groups` to gather whole warp groups
+of stacks (plus point ids and invariant argument values) into compact
+arrays.  Lanes never migrate between warps and rows keep their
+original stack ids, so the coalescing, L2, and issue accounting are
+bit-identical to the full-width run.
 """
 
 from __future__ import annotations
@@ -30,15 +33,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.autoropes import Continue, IterativeKernel, PushGroup
-from repro.core.compile import (
-    TAG_COND,
-    TAG_CONTINUE,
-    TAG_PUSH,
-    TAG_UPDATE,
-    CompiledProgram,
-    PushGroupOp,
-    program_for,
-)
 from repro.core.ir import If, Seq, Stmt, Update
 from repro.gpusim.cost import CostModel
 from repro.gpusim.executors.common import (
@@ -50,17 +44,9 @@ from repro.gpusim.kernel import occupancy_for
 from repro.gpusim.stack import RopeStackLayout, StackStorage
 from repro.gpusim.trace import StepTrace
 
-#: below this many warp groups the gather costs more than it saves.
-MIN_COMPACT_GROUPS = 8
-
 
 class AutoropesExecutor:
     """Runs an autoropes kernel with one stack per thread."""
-
-    #: whether ``engine="codegen"`` can run this executor class; classes
-    #: that override the main loop itself (static ropes) opt out and
-    #: fall back to the compiled walker.
-    _codegen_supported = True
 
     def __init__(self, launch: TraversalLaunch) -> None:
         if launch.kernel.lockstep:
@@ -107,24 +93,11 @@ class AutoropesExecutor:
         #: compaction gathers whole groups; identity until then).
         self._warp_ids = np.arange(launch.n_warps, dtype=np.int64)
         self._compacted = False
-        self.program: Optional[CompiledProgram] = (
-            program_for(self.kernel)
-            if launch.engine in ("compiled", "codegen")
-            else None
-        )
-        #: set when engine="codegen" was requested but this executor
-        #: class cannot run generated loops (it ran compiled instead).
-        self.codegen_fallback = (
-            launch.engine == "codegen" and not self._codegen_supported
-        )
 
     # -- memory helpers --------------------------------------------------
 
     def _warpify(self, arr: np.ndarray) -> np.ndarray:
         return arr.reshape(-1, self.ws)
-
-    def _issue_ids(self) -> Optional[np.ndarray]:
-        return self._warp_ids if self._compacted else None
 
     def _charge_groups(
         self,
@@ -155,7 +128,7 @@ class AutoropesExecutor:
             )
             seen |= to_charge
 
-    # -- interpreter (engine="interp": the differential baseline) -----------
+    # -- interpreter (engine="interp": the reference engine) ----------------
 
     def _interp(
         self,
@@ -267,148 +240,13 @@ class AutoropesExecutor:
             )
             self.stack.push(push_mask, self._step, **payload)
 
-    # -- compiled program walker (engine="compiled") -------------------------
-
-    def _run_ops(
-        self,
-        ops: Tuple,
-        live: np.ndarray,
-        node: np.ndarray,
-        args: Dict[str, np.ndarray],
-        charged: Dict[str, np.ndarray],
-    ) -> np.ndarray:
-        """Walk the op program under per-thread predication.
-
-        Non-lockstep execution predicates *every* branch per thread
-        (threads sit on different nodes, so no warp-uniform shortcut
-        exists); the compiled branch kinds only matter to lockstep.
-        """
-        issue = self.L.issue.issue
-        ids = self._issue_ids()
-        for op in ops:
-            if not live.any():
-                return live
-            tag = op.tag
-            if tag == TAG_COND:
-                if op.reads:
-                    self._charge_groups(op.reads, live, node, charged)
-                issue(self._warpify(live), op.cost, warp_ids=ids)
-                idx = np.nonzero(live)[0]
-                res = op.fn(
-                    self.ctx,
-                    node[idx],
-                    self.pt[idx],
-                    {k: v[idx] for k, v in args.items()},
-                )
-                cond = np.zeros_like(live)
-                cond[idx] = np.asarray(res, dtype=bool)
-                if self._prof is not None:
-                    self._prof.note(op, self.L.stats)
-                then_live = self._run_ops(op.then_ops, live & cond, node, args, charged)
-                if op.else_ops is not None:
-                    else_live = self._run_ops(
-                        op.else_ops, live & ~cond, node, args, charged
-                    )
-                else:
-                    else_live = live & ~cond
-                live = then_live | else_live
-            elif tag == TAG_UPDATE:
-                if op.reads:
-                    self._charge_groups(op.reads, live, node, charged)
-                issue(self._warpify(live), op.cost, warp_ids=ids)
-                idx = np.nonzero(live)[0]
-                op.fn(
-                    self.ctx,
-                    node[idx],
-                    self.pt[idx],
-                    {k: v[idx] for k, v in args.items()},
-                )
-                if self._prof is not None:
-                    self._prof.note(op, self.L.stats)
-            elif tag == TAG_PUSH:
-                self._push_group_op(op, live, node, args, charged)
-                if self._prof is not None:
-                    self._prof.note(op, self.L.stats)
-            else:  # TAG_CONTINUE
-                return np.zeros_like(live)
-        return live
-
-    def _push_group_op(
-        self,
-        op: PushGroupOp,
-        live: np.ndarray,
-        node: np.ndarray,
-        args: Dict[str, np.ndarray],
-        charged: Dict[str, np.ndarray],
-    ) -> None:
-        if op.child_group:
-            self._charge_groups(op.child_group, live, node, charged)
-        if op.needs_rules:
-            idx = np.nonzero(live)[0]
-            sub_args = {k: v[idx] for k, v in args.items()}
-            # Pushes only read rows in the push mask (a subset of idx),
-            # so rule outputs scatter into empty_like scratch instead of
-            # the interpreter's full-array copies; stored values are
-            # identical.
-            new_full: Dict[str, np.ndarray] = {}
-            new_sub: Dict[str, np.ndarray] = dict(sub_args)
-            for r in op.variant_rules:
-                if r.rule is None:
-                    new_full[r.name] = args[r.name]
-                else:
-                    val = np.asarray(
-                        r.rule(self.ctx, node[idx], self.pt[idx], sub_args)
-                    ).astype(r.dtype, copy=False)
-                    full = np.empty_like(args[r.name])
-                    full[idx] = val
-                    new_full[r.name] = full
-                    new_sub[r.name] = val
-        else:
-            new_full = {r.name: args[r.name] for r in op.variant_rules}
-        issue = self.L.issue.issue
-        ids = self._issue_ids()
-        live_w = self._warpify(live)
-        for call in op.calls:
-            child = self.tree.child(call.child, node)
-            push_full = new_full
-            if call.overrides:
-                push_full = dict(new_full)
-                for r in call.overrides:
-                    val = np.asarray(
-                        r.rule(self.ctx, node[idx], self.pt[idx], new_sub)
-                    ).astype(r.dtype, copy=False)
-                    full = np.empty_like(new_full[r.name])
-                    full[idx] = val
-                    push_full[r.name] = full
-            if op.visits_null:
-                push_mask = live
-            else:
-                push_mask = live & (child >= 0)
-            issue(live_w, 1.0, warp_ids=ids)
-            payload: Dict[str, np.ndarray] = {"node": child}
-            for k, v in push_full.items():
-                payload[f"arg.{k}"] = v
-            self.stack.push(push_mask, self._step, **payload)
-
     # -- frontier compaction -------------------------------------------------
-
-    def _maybe_compact(self) -> None:
-        threshold = self.L.compact_threshold
-        groups = self.stack.n_stacks // self.ws
-        if threshold <= 0.0 or groups < MIN_COMPACT_GROUPS:
-            return
-        grp_live = self._warpify(self.stack.sp > 0).any(axis=1)
-        n_live = int(grp_live.sum())
-        if n_live >= groups * threshold:
-            return
-        self._compact_groups(np.nonzero(grp_live)[0])
 
     def _compact_groups(self, sel: np.ndarray) -> None:
         """Gather executor state down to the selected warp groups.
 
-        The cold half of compaction, shared by the compiled walker and
-        the generated codegen loops (which inline the cheap trigger
-        checks and call back here for the gather)."""
+        The cold half of compaction: the generated loop inlines the
+        cheap trigger check and calls back here for the gather."""
         self.stack.compact(sel)
         rows = (sel[:, None] * self.ws + np.arange(self.ws)).ravel()
         self.pt = self.pt[rows]
@@ -428,12 +266,10 @@ class AutoropesExecutor:
         init["node"][:] = self.tree.root
         self.stack.push(real, self._step, **init)
 
-        if L.engine == "codegen" and self._codegen_supported:
+        if L.engine == "codegen":
             from repro.core.passes import step_loop_for
 
             step_loop_for(self, "autoropes")(self)
-        elif self.program is not None:
-            self._run_compiled()
         else:
             self._run_interp()
 
@@ -455,7 +291,7 @@ class AutoropesExecutor:
         )
 
     def _run_interp(self) -> None:
-        """Original full-width AST-interpreting loop (baseline engine)."""
+        """Full-width AST-interpreting loop (the reference engine)."""
         L = self.L
         spec = self.spec
         need_guard = L.needs_guard
@@ -496,68 +332,6 @@ class AutoropesExecutor:
                     int(useful.sum()),
                     L.stats.global_transactions - trans_before,
                 )
-
-    def _run_compiled(self) -> None:
-        """Plan-compiled loop: frontier compaction + batched counters."""
-        L = self.L
-        spec = self.spec
-        stats = L.stats
-        need_guard = L.needs_guard
-        validate = L.validate
-        trace = self._trace
-        ops = self.program.ops
-        variant_keys = [(a.name, f"arg.{a.name}") for a in spec.variant_args]
-        steps = 0
-        node_visits = np.int64(0)
-        warp_node_visits = np.int64(0)
-        try:
-            while self.stack.any_nonempty():
-                self._step += 1
-                steps += 1
-                if need_guard:
-                    # guard reads stats.steps; flush the batch first.
-                    stats.steps += steps
-                    steps = 0
-                    L.guard(self._step, self.stack)
-                self._maybe_compact()
-                live = self.stack.nonempty()
-                popped = self.stack.pop(live, self._step)
-                node = popped["node"]
-                if validate:
-                    validate_popped_nodes(node, live, self.tree.n_nodes, self._step)
-                args = {name: popped[key] for name, key in variant_keys}
-                args.update(self._invariant_args)
-                useful = live & (node >= 0)
-                n_useful = useful.sum()
-                node_visits += n_useful
-                warp_live = self._warpify(live).any(axis=1)
-                warp_node_visits += warp_live.sum()
-                if self._compacted:
-                    self._warp_live_steps[self._warp_ids] += warp_live
-                else:
-                    self._warp_live_steps += warp_live
-                np.add.at(self._visits_per_point, self.pt[useful], 1)
-                if self._visit_log is not None:
-                    lidx = np.nonzero(useful)[0]
-                    self._visit_log.append((self.pt[lidx].copy(), node[lidx].copy()))
-                if self._prof is not None:
-                    self._prof.sync(stats)
-                    self._prof.note_depth(node, useful)
-                charged: Dict[str, np.ndarray] = {}
-                if trace is not None:
-                    trans_before = stats.global_transactions
-                    self._run_ops(ops, live, node, args, charged)
-                    trace.record(
-                        int(warp_live.sum()),
-                        int(n_useful),
-                        stats.global_transactions - trans_before,
-                    )
-                else:
-                    self._run_ops(ops, live, node, args, charged)
-        finally:
-            stats.steps += steps
-            stats.node_visits += int(node_visits)
-            stats.warp_node_visits += int(warp_node_visits)
 
     def _longest_member_per_warp(self, per_point: np.ndarray) -> np.ndarray:
         padded = np.zeros(self.L.n_threads, dtype=np.int64)

@@ -31,6 +31,12 @@ from repro.gpusim.trace import StepTrace
 from repro.gpusim.warp import WarpIssueAccountant
 from repro.trees.linearize import LinearTree
 
+#: the execution engines a launch can name: ``"interp"`` walks the
+#: kernel AST once per step (the reference); ``"codegen"`` runs the
+#: step loop :mod:`repro.core.passes` emits from the kernel's op
+#: program (:mod:`repro.core.compile`).
+ENGINES = ("interp", "codegen")
+
 
 @dataclass
 class TraversalLaunch:
@@ -58,13 +64,12 @@ class TraversalLaunch:
     visit_budget: Optional[int] = None
     #: armed chaos faults for this launch (see repro.gpusim.faults).
     fault_plan: Optional[BatchFaultPlan] = None
-    #: execution engine: ``"compiled"`` runs the plan-compiled program
-    #: with frontier compaction (repro.core.compile); ``"codegen"`` goes
-    #: one level further and runs source generated per (kernel, plan)
-    #: by the pass pipeline in :mod:`repro.core.passes`; ``"interp"``
-    #: keeps the original per-step AST interpreter as the differential
-    #: baseline.  Simulated stats are bit-identical across all three.
-    engine: str = "compiled"
+    #: execution engine (one of :data:`ENGINES`): ``"codegen"`` runs
+    #: source generated per (kernel, launch facts) by the pass pipeline
+    #: in :mod:`repro.core.passes`, with frontier compaction;
+    #: ``"interp"`` keeps the per-step AST interpreter as the reference.
+    #: Simulated stats are bit-identical across the two.
+    engine: str = "codegen"
     #: shared :class:`repro.core.plancache.PlanCache` owning generated
     #: codegen functions for service launches (so plan eviction and
     #: epoch bumps drop them); ``None`` falls back to a per-kernel memo.
@@ -78,7 +83,7 @@ class TraversalLaunch:
     #: skip the per-step validation cost.
     validate: Optional[bool] = None
     #: frontier compaction trigger: when the fraction of non-empty
-    #: stacks among current rows drops below this, the compiled engine
+    #: stacks among current rows drops below this, the codegen engine
     #: gathers the active warps into compact arrays and runs subsequent
     #: steps at frontier width.  ``0`` disables compaction.  The high
     #: default keeps row width tracking the frontier closely — the
@@ -129,10 +134,9 @@ class TraversalLaunch:
         )
         if self.fault_plan is not None and not self.fault_plan.any_armed:
             self.fault_plan = None
-        if self.engine not in ("compiled", "codegen", "interp"):
+        if self.engine not in ENGINES:
             raise ValueError(
-                "engine must be 'compiled', 'codegen' or 'interp', "
-                f"got {self.engine!r}"
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if not 0.0 <= self.compact_threshold <= 1.0:
             raise ValueError("compact_threshold must be in [0, 1]")

@@ -18,17 +18,18 @@ may come later).
 
 Two engines run the same kernel:
 
-* ``engine="compiled"`` (default) executes the plan-compiled linear
-  program from :mod:`repro.core.compile` and applies **frontier
-  compaction**: once the fraction of non-empty warp stacks drops below
-  ``launch.compact_threshold``, the loop gathers the live warps —
+* ``engine="codegen"`` (default) runs the step loop that
+  :mod:`repro.core.passes` emits for this (kernel, launch facts) pair
+  and applies **frontier compaction**: once the fraction of non-empty
+  warp stacks drops below ``launch.compact_threshold``, the loop calls
+  :meth:`LockstepExecutor._compact_rows` to gather the live warps —
   stack rows, point grid, invariant argument values — into compact
   arrays and runs the long tail at frontier width.  Original warp ids
   travel with the rows, so stack addressing, issue accounting, and the
   L2 reuse model see exactly the traffic of the full-width run.
-* ``engine="interp"`` keeps the original per-step AST interpreter as
-  the differential baseline; ``benchmarks/perf`` and the equivalence
-  tests assert the two produce bit-identical simulated stats.
+* ``engine="interp"`` walks the kernel AST once per step at full
+  width; it is the reference the differential tests and
+  ``benchmarks/perf`` hold the generated loop to, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,17 +39,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.autoropes import Continue, IterativeKernel, PushGroup
-from repro.core.compile import (
-    BRANCH_PREDICATE,
-    BRANCH_UNIFORM,
-    TAG_COND,
-    TAG_CONTINUE,
-    TAG_PUSH,
-    TAG_UPDATE,
-    CompiledProgram,
-    PushGroupOp,
-    program_for,
-)
 from repro.core.ir import If, Seq, Stmt, Update
 from repro.gpusim.cost import CostModel
 from repro.gpusim.executors.common import (
@@ -61,10 +51,6 @@ from repro.gpusim.stack import RopeStackLayout, StackStorage
 from repro.gpusim.trace import StepTrace
 from repro.gpusim.warp import majority_vote, pack_mask, unpack_mask
 
-#: never bother gathering fewer rows than this away (the gather itself
-#: costs more than the savings on a handful of warps).
-MIN_COMPACT_ROWS = 8
-
 
 class LockstepExecutor:
     """Runs a lockstep kernel with one stack (and mask) per warp."""
@@ -73,10 +59,6 @@ class LockstepExecutor:
     #: and replace rope-stack accounting with call-frame accounting.
     _require_lockstep = True
     _stack_account = True
-    #: whether ``engine="codegen"`` can run this executor class; classes
-    #: that override the main loop itself opt out and fall back to the
-    #: compiled walker (``codegen_fallback`` records that on instances).
-    _codegen_supported = True
 
     def __init__(self, launch: TraversalLaunch) -> None:
         if self._require_lockstep and not launch.kernel.lockstep:
@@ -135,21 +117,8 @@ class LockstepExecutor:
         #: path pays no indirection.
         self._warp_ids = np.arange(launch.n_warps, dtype=np.int64)
         self._compacted = False
-        self.program: Optional[CompiledProgram] = (
-            program_for(self.kernel)
-            if launch.engine in ("compiled", "codegen")
-            else None
-        )
-        #: set when engine="codegen" was requested but this executor
-        #: class cannot run generated loops (it ran compiled instead).
-        self.codegen_fallback = (
-            launch.engine == "codegen" and not self._codegen_supported
-        )
 
     # -- helpers -------------------------------------------------------------
-
-    def _issue_ids(self) -> Optional[np.ndarray]:
-        return self._warp_ids if self._compacted else None
 
     def _charge_node_groups(
         self,
@@ -189,27 +158,7 @@ class LockstepExecutor:
         node: np.ndarray,
         args: Dict[str, np.ndarray],
     ) -> np.ndarray:
-        """Evaluate a condition per (warp, lane) for live lanes.
-
-        Conditions are pure row-wise predicates, so when most lanes are
-        live it is cheaper to evaluate the full grid and mask (skipping
-        the nonzero/gather/scatter round trip) — each lane's result is
-        identical either way, dead lanes are simply discarded.  The
-        dense path belongs to the compiled engine; ``engine="interp"``
-        keeps the seed's gather/scatter evaluation throughout.
-        """
-        n_live = int(live.sum())
-        if n_live == 0:
-            return np.zeros_like(live)
-        if self.program is not None and 20 * n_live >= 19 * live.size:
-            ws = live.shape[1]
-            res = fn(
-                self.ctx,
-                np.repeat(node, ws),
-                self.pt_grid.ravel(),
-                {k: np.repeat(v, ws) for k, v in args.items()},
-            )
-            return np.asarray(res, dtype=bool).reshape(live.shape) & live
+        """Evaluate a condition per (warp, lane) for live lanes."""
         out = np.zeros_like(live)
         widx, lidx = np.nonzero(live)
         pts = self.pt_grid[widx, lidx]
@@ -219,38 +168,7 @@ class LockstepExecutor:
         out[widx, lidx] = np.asarray(res, dtype=bool)
         return out
 
-    def _eval_cond_warps(
-        self,
-        fn,
-        warp_on: np.ndarray,
-        live: np.ndarray,
-        node: np.ndarray,
-        args: Dict[str, np.ndarray],
-    ) -> np.ndarray:
-        """Evaluate a point-independent condition once per live warp.
-
-        The result per warp equals what every live lane of that warp
-        would compute (the condition ignores the point and the node is
-        warp-uniform), so this replaces the interpreter's
-        evaluate-per-lane-then-vote with a single row-level call.  Warps
-        with no live lanes report ``False``, matching the vote's
-        no-voters outcome.
-        """
-        take = np.zeros(live.shape[0], dtype=bool)
-        widx = np.nonzero(warp_on)[0]
-        if len(widx) == 0:
-            return take
-        rep = self._representative_pt(live)
-        res = fn(
-            self.ctx,
-            node[widx],
-            rep[widx],
-            {k: v[widx] for k, v in args.items()},
-        )
-        take[widx] = np.asarray(res, dtype=bool)
-        return take
-
-    # -- interpreter (engine="interp": the differential baseline) -----------
+    # -- interpreter (engine="interp": the reference engine) ----------------
 
     def _interp(
         self,
@@ -382,172 +300,11 @@ class LockstepExecutor:
             payload.update({f"arg.{k}": v for k, v in push_args.items()})
             self.stack.push(push_mask, self._step, **payload)
 
-    # -- compiled program walker (engine="compiled") -------------------------
-
-    def _run_ops(
-        self,
-        ops: Tuple,
-        live: np.ndarray,
-        node: np.ndarray,
-        args: Dict[str, np.ndarray],
-        charged: Dict[str, np.ndarray],
-    ) -> "np.ndarray | None":
-        # Returns the surviving live mask, or ``None`` for "no
-        # survivors" — a ``Continue`` (and any branch that ran dry)
-        # reports None instead of allocating an all-False grid, so the
-        # caller's merge skips the OR entirely.  Simulated stats are
-        # untouched: an all-False operand contributes nothing.
-        issue = self.L.issue.issue
-        ids = self._issue_ids()
-        for op in ops:
-            if not live.any():
-                return None
-            tag = op.tag
-            if tag == TAG_COND:
-                branch = op.branch
-                if branch == BRANCH_UNIFORM:
-                    # Point-independent condition: one evaluation per
-                    # warp instead of per lane.  Every live lane of a
-                    # warp shares the node, so the per-lane vote the
-                    # interpreter takes is a foregone conclusion — the
-                    # warp-level result is identical by construction.
-                    warp_on = live.any(axis=1)
-                    if op.reads:
-                        self._charge_node_groups(op.reads, warp_on, node, charged)
-                    issue(live, op.cost, warp_ids=ids)
-                    take_then = self._eval_cond_warps(
-                        op.fn, warp_on, live, node, args
-                    )
-                    then_live = live & take_then[:, None]
-                    else_live = live & ~take_then[:, None]
-                else:
-                    if op.reads:
-                        self._charge_node_groups(
-                            op.reads, live.any(axis=1), node, charged
-                        )
-                    issue(live, op.cost, warp_ids=ids)
-                    cond = self._eval_cond_lanes(op.fn, live, node, args)
-                    if branch == BRANCH_PREDICATE:
-                        # cond is already masked to live lanes, so the
-                        # complement is a single XOR instead of an
-                        # invert + AND.
-                        then_live = cond
-                        else_live = live ^ cond
-                    else:
-                        take_then = majority_vote(cond, live)
-                        issue(live.any(axis=1)[:, None], 1.0)  # the vote op
-                        then_live = live & take_then[:, None]
-                        else_live = live & ~take_then[:, None]
-                if self._prof is not None:
-                    self._prof.note(op, self.L.stats)
-                out_then = self._run_ops(op.then_ops, then_live, node, args, charged)
-                if op.else_ops is not None:
-                    out_else = self._run_ops(
-                        op.else_ops, else_live, node, args, charged
-                    )
-                else:
-                    out_else = else_live
-                if out_then is None:
-                    if out_else is None:
-                        return None
-                    live = out_else
-                elif out_else is None:
-                    live = out_then
-                else:
-                    live = out_then | out_else
-            elif tag == TAG_UPDATE:
-                if op.reads:
-                    self._charge_node_groups(
-                        op.reads, live.any(axis=1), node, charged
-                    )
-                issue(live, op.cost, warp_ids=ids)
-                widx, lidx = np.nonzero(live)
-                if len(widx):
-                    op.fn(
-                        self.ctx,
-                        node[widx],
-                        self.pt_grid[widx, lidx],
-                        {k: v[widx] for k, v in args.items()},
-                    )
-                if self._prof is not None:
-                    self._prof.note(op, self.L.stats)
-            elif tag == TAG_PUSH:
-                self._push_group_op(op, live, node, args, charged)
-                if self._prof is not None:
-                    self._prof.note(op, self.L.stats)
-            else:  # TAG_CONTINUE
-                return None
-        return live
-
-    def _push_group_op(
-        self,
-        op: PushGroupOp,
-        live: np.ndarray,
-        node: np.ndarray,
-        args: Dict[str, np.ndarray],
-        charged: Dict[str, np.ndarray],
-    ) -> None:
-        warp_on = live.any(axis=1)
-        if not warp_on.any():
-            return
-        if op.child_group:
-            self._charge_node_groups(op.child_group, warp_on, node, charged)
-        mask_words = pack_mask(live)
-        if op.needs_rules:
-            rep = self._representative_pt(live)
-            widx = np.nonzero(warp_on)[0]
-            sub_args = {k: v[widx] for k, v in args.items()}
-            # Pushes only read rows where push_mask is set (a subset of
-            # widx), so rule outputs scatter into empty_like scratch
-            # instead of the interpreter's full-array copies — the
-            # values the stack stores are identical.
-            new_full: Dict[str, np.ndarray] = {}
-            new_sub: Dict[str, np.ndarray] = dict(sub_args)
-            for r in op.variant_rules:
-                if r.rule is None:
-                    new_full[r.name] = args[r.name]
-                else:
-                    val = np.asarray(
-                        r.rule(self.ctx, node[widx], rep[widx], sub_args)
-                    )
-                    val = val.astype(r.dtype, copy=False)
-                    full = np.empty_like(args[r.name])
-                    full[widx] = val
-                    new_full[r.name] = full
-                    new_sub[r.name] = val
-        else:
-            # Every variant arg is carried through unchanged (or there
-            # are none): no representative point, no row subset, no
-            # rule evaluation — the pushed values are the popped ones.
-            new_full = {r.name: args[r.name] for r in op.variant_rules}
-        issue = self.L.issue.issue
-        warp_on_col = warp_on[:, None]
-        for call in op.calls:
-            child = self.tree.child(call.child, node)
-            push_full = new_full
-            if call.overrides:
-                push_full = dict(new_full)
-                for r in call.overrides:
-                    val = np.asarray(
-                        r.rule(self.ctx, node[widx], rep[widx], new_sub)
-                    ).astype(r.dtype, copy=False)
-                    full = np.empty_like(new_full[r.name])
-                    full[widx] = val
-                    push_full[r.name] = full
-            if op.visits_null:
-                push_mask = warp_on
-            else:
-                push_mask = warp_on & (child >= 0)
-            issue(warp_on_col, 1.0)
-            payload: Dict[str, np.ndarray] = {"node": child, "mask": mask_words}
-            for k, v in push_full.items():
-                payload[f"arg.{k}"] = v
-            self.stack.push(push_mask, self._step, **payload)
-
     # -- frontier compaction -------------------------------------------------
 
     def _compact_rows(self, sel: np.ndarray) -> None:
-        """Gather executor state down to the selected warp rows."""
+        """Gather executor state down to the selected warp rows (called
+        from the generated loop when the compaction trigger fires)."""
         self.stack.compact(sel)
         self.pt_grid = self.pt_grid[sel]
         self.real = self.real[sel]
@@ -582,12 +339,10 @@ class LockstepExecutor:
             init[f"arg.{a.name}"] = np.full(L.n_warps, a.initial, dtype=a.dtype)
         self.stack.push(warp_real, self._step, **init)
 
-        if L.engine == "codegen" and self._codegen_supported:
+        if L.engine == "codegen":
             from repro.core.passes import step_loop_for
 
             step_loop_for(self, "lockstep")(self)
-        elif self.program is not None:
-            self._run_compiled()
         else:
             self._run_interp()
 
@@ -611,7 +366,7 @@ class LockstepExecutor:
         )
 
     def _run_interp(self) -> None:
-        """Original full-width AST-interpreting loop (baseline engine)."""
+        """Full-width AST-interpreting loop (the reference engine)."""
         L = self.L
         spec = self.spec
         need_guard = L.needs_guard
@@ -656,93 +411,3 @@ class LockstepExecutor:
                     int(useful.sum()),
                     L.stats.global_transactions - trans_before,
                 )
-
-    def _run_compiled(self) -> None:
-        """Plan-compiled loop: frontier compaction + batched counters."""
-        L = self.L
-        spec = self.spec
-        stats = L.stats
-        need_guard = L.needs_guard
-        validate = L.validate
-        trace = self._trace
-        ops = self.program.ops
-        variant_keys = [(a.name, f"arg.{a.name}") for a in spec.variant_args]
-        # Scalar counters accumulate numpy-side; one int() each at exit.
-        steps = 0
-        node_visits = np.int64(0)
-        warp_node_visits = np.int64(0)
-        threshold = L.compact_threshold
-        try:
-            while True:
-                # One `sp > 0` scan per step serves loop exit, the
-                # compaction trigger, and the pop mask alike.
-                warp_on = self.stack.sp > 0
-                n_on = int(warp_on.sum())
-                if n_on == 0:
-                    break
-                self._step += 1
-                steps += 1
-                if need_guard:
-                    # The guard reads stats.steps (stuck-warp budget
-                    # arithmetic), so flush the batched counter first.
-                    stats.steps += steps
-                    steps = 0
-                    L.guard(self._step, self.stack)
-                    warp_on = self.stack.sp > 0
-                    n_on = int(warp_on.sum())
-                if (
-                    threshold > 0.0
-                    and self.stack.n_stacks >= MIN_COMPACT_ROWS
-                    and n_on < self.stack.n_stacks * threshold
-                ):
-                    self._compact_rows(np.nonzero(warp_on)[0])
-                    warp_on = self.stack.sp > 0
-                popped = self.stack.pop(warp_on, self._step)
-                node = popped["node"]
-                if validate:
-                    validate_popped_nodes(
-                        node, warp_on, self.tree.n_nodes, self._step
-                    )
-                live = (
-                    unpack_mask(popped["mask"], self.ws)
-                    & warp_on[:, None]
-                    & self.real
-                )
-                args = {name: popped[key] for name, key in variant_keys}
-                args.update(self._invariant_vals)
-                useful = live & (node >= 0)[:, None]
-                n_useful = useful.sum()
-                node_visits += n_useful
-                warp_node_visits += warp_on.sum()
-                if self._compacted:
-                    self._warp_len[self._warp_ids] += warp_on
-                    self._lane_useful[self._warp_ids] += useful
-                else:
-                    self._warp_len += warp_on
-                    self._lane_useful += useful
-                if self._visit_log is not None:
-                    widx, lidx = np.nonzero(useful)
-                    self._visit_log.append(
-                        (self.pt_grid[widx, lidx].copy(), node[widx].copy())
-                    )
-                self._on_visit(warp_on, live, node)
-                if self._prof is not None:
-                    self._prof.sync(stats)
-                    self._prof.note_depth(
-                        node, warp_on & (node >= 0), useful.sum(axis=1)
-                    )
-                charged: Dict[str, np.ndarray] = {}
-                if trace is not None:
-                    trans_before = stats.global_transactions
-                    self._run_ops(ops, live, node, args, charged)
-                    trace.record(
-                        int(warp_on.sum()),
-                        int(n_useful),
-                        stats.global_transactions - trans_before,
-                    )
-                else:
-                    self._run_ops(ops, live, node, args, charged)
-        finally:
-            stats.steps += steps
-            stats.node_visits += int(node_visits)
-            stats.warp_node_visits += int(warp_node_visits)

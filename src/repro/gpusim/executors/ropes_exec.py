@@ -16,10 +16,12 @@ directly:
   overhead than the hand-coded version (due to stack manipulation)"
   the paper concedes for its general transformation.
 
-Like its parent, the default ``engine="compiled"`` walks the
-plan-compiled op program and compacts the frontier at warp granularity
-— here there is no stack to gather, only the node/active cursors, point
-ids, and the descend scratch.
+The stackless loop is bespoke (no rope stack, a descend scratch
+instead of pushes), so the pass pipeline emits no step loop for it:
+this executor always runs its own full-width AST-interpreting loop,
+whichever engine the launch names.  It is the paper's hand-written
+baseline, reached by the tests, the ropes ablation benchmark and an
+example, never by the service.
 """
 
 from __future__ import annotations
@@ -29,12 +31,8 @@ from typing import Dict
 import numpy as np
 
 from repro.core.autoropes import PushGroup
-from repro.core.compile import PushGroupOp
 from repro.gpusim.cost import CostModel
-from repro.gpusim.executors.autoropes_exec import (
-    MIN_COMPACT_GROUPS,
-    AutoropesExecutor,
-)
+from repro.gpusim.executors.autoropes_exec import AutoropesExecutor
 from repro.gpusim.executors.common import LaunchResult, TraversalLaunch
 from repro.gpusim.kernel import occupancy_for
 from repro.trees.ropes import first_children, install_ropes
@@ -42,10 +40,6 @@ from repro.trees.ropes import first_children, install_ropes
 
 class StaticRopesExecutor(AutoropesExecutor):
     """Per-thread stackless traversal via preinstalled ropes."""
-
-    #: the stackless loop is bespoke (no rope stack, descend scratch);
-    #: codegen launches fall back to the compiled walker here.
-    _codegen_supported = False
 
     def __init__(self, launch: TraversalLaunch) -> None:
         super().__init__(launch)
@@ -79,34 +73,6 @@ class StaticRopesExecutor(AutoropesExecutor):
         has_child = self._first_child[np.maximum(node, 0)] >= 0
         self._descend |= live & has_child
 
-    def _push_group_op(self, op: PushGroupOp, live, node, args, charged) -> None:
-        self._charge_groups(op.child_group, live, node, charged)
-        self.L.issue.issue(self._warpify(live), 1.0, warp_ids=self._issue_ids())
-        has_child = self._first_child[np.maximum(node, 0)] >= 0
-        self._descend |= live & has_child
-
-    # -- frontier compaction (no stack: gather the loop cursors) ------------
-
-    def _compact_ropes(self, node, active):
-        threshold = self.L.compact_threshold
-        groups = len(node) // self.ws
-        if threshold <= 0.0 or groups < MIN_COMPACT_GROUPS:
-            return node, active
-        grp_live = self._warpify(active).any(axis=1)
-        n_live = int(grp_live.sum())
-        if n_live >= groups * threshold:
-            return node, active
-        sel = np.nonzero(grp_live)[0]
-        rows = (sel[:, None] * self.ws + np.arange(self.ws)).ravel()
-        self.pt = self.pt[rows]
-        self._invariant_args = {
-            k: v[rows] for k, v in self._invariant_args.items()
-        }
-        self._warp_ids = self._warp_ids[sel]
-        self._descend = self._descend[rows]
-        self._compacted = True
-        return node[rows], active[rows]
-
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> LaunchResult:
@@ -116,10 +82,7 @@ class StaticRopesExecutor(AutoropesExecutor):
         node[real] = self.tree.root
         active = real.copy()
 
-        if self.program is not None:
-            self._loop_compiled(node, active)
-        else:
-            self._loop_interp(node, active)
+        self._loop_interp(node, active)
 
         occ = occupancy_for(L.device, 0)
         cm = CostModel(L.device)
@@ -138,7 +101,7 @@ class StaticRopesExecutor(AutoropesExecutor):
         )
 
     def _loop_interp(self, node: np.ndarray, active: np.ndarray) -> None:
-        """Original full-width AST-interpreting loop (baseline engine)."""
+        """Full-width AST-interpreting loop (the only one it has)."""
         L = self.L
         need_guard = L.needs_guard
         args = dict(self._invariant_args)
@@ -179,64 +142,3 @@ class StaticRopesExecutor(AutoropesExecutor):
                     L.stats.global_transactions - trans_before,
                 )
             active = active & (node >= 0)
-
-    def _loop_compiled(self, node: np.ndarray, active: np.ndarray) -> None:
-        """Plan-compiled loop: frontier compaction + batched counters."""
-        L = self.L
-        stats = L.stats
-        need_guard = L.needs_guard
-        trace = self._trace
-        ops = self.program.ops
-        steps = 0
-        node_visits = np.int64(0)
-        warp_node_visits = np.int64(0)
-        try:
-            while active.any():
-                self._step += 1
-                steps += 1
-                if need_guard:
-                    stats.steps += steps
-                    steps = 0
-                    L.guard(self._step)
-                node, active = self._compact_ropes(node, active)
-                n_active = active.sum()
-                node_visits += n_active
-                warp_live = self._warpify(active).any(axis=1)
-                warp_node_visits += warp_live.sum()
-                if self._compacted:
-                    self._warp_live_steps[self._warp_ids] += warp_live
-                else:
-                    self._warp_live_steps += warp_live
-                np.add.at(self._visits_per_point, self.pt[active], 1)
-                if self._visit_log is not None:
-                    idx = np.nonzero(active)[0]
-                    self._visit_log.append(
-                        (self.pt[idx].copy(), node[idx].copy())
-                    )
-                if trace is not None:
-                    trans_before = stats.global_transactions
-
-                charged: Dict[str, np.ndarray] = {}
-                self._descend[:] = False
-                self._run_ops(ops, active, node, dict(self._invariant_args), charged)
-
-                nxt = np.where(
-                    self._descend,
-                    self._first_child[np.maximum(node, 0)],
-                    self._rope[np.maximum(node, 0)],
-                )
-                self.L.issue.issue(
-                    self._warpify(active), 1.0, warp_ids=self._issue_ids()
-                )
-                node = np.where(active, nxt, -1)
-                if trace is not None:
-                    trace.record(
-                        int(warp_live.sum()),
-                        int(n_active),
-                        stats.global_transactions - trans_before,
-                    )
-                active = active & (node >= 0)
-        finally:
-            stats.steps += steps
-            stats.node_visits += int(node_visits)
-            stats.warp_node_visits += int(warp_node_visits)

@@ -98,7 +98,7 @@ LARGE = ExperimentScale(
 # correlation radius is half the geocity cluster sigma, and the small
 # leaf bucket pushes work into tree *traversal* rather than leaf scans —
 # a deep-traversal regime where per-step engine overhead, the thing the
-# compiled engine removes, is the dominant cost.
+# codegen engine removes, is the dominant cost.
 XLARGE = ExperimentScale(
     name="xlarge",
     n_bodies=131072,

@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     )
     eng = parser.add_argument_group("execution engine")
     eng.add_argument(
-        "--engine", choices=ENGINES, default="compiled",
+        "--engine", choices=ENGINES, default="codegen",
         help="GPU execution engine for dispatched batches",
     )
     eng.add_argument(
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     )
     eng.add_argument(
         "--dump-source", metavar="DIR",
-        help="with --engine codegen: write every emitted step-loop "
+        help="on the codegen engine: write every emitted step-loop "
         "source into DIR as <kernel>.<kind>.py",
     )
     eng.add_argument(

@@ -420,13 +420,13 @@ class AdaptiveDispatcher:
         device = self.config.device
         if fault_plan is not None and fault_plan.latency_factor != 1.0:
             device = device.derate(fault_plan.latency_factor)
-        # Engine knobs resolve session override -> service config, so
-        # the dispatch path is *explicitly* on the compiled engine (or
-        # the interp baseline) instead of inheriting launch defaults.
-        engine = session.engine or getattr(self.config, "engine", "compiled")
+        # The engine comes from the service config and the compaction
+        # trigger from the session override or the config, so the
+        # dispatch path never inherits launch defaults.
+        engine = self.config.engine
         compact = session.compact_threshold
         if compact is None:
-            compact = getattr(self.config, "compact_threshold", 0.9)
+            compact = self.config.compact_threshold
         profiler = self._profiler
         prof = None
         if profiler is not None and profiler.should_sample():

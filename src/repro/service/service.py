@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.cpusim.threads import CPUConfig, OPTERON_6176
 from repro.gpusim.device import DeviceConfig, TESLA_C2070
+from repro.gpusim.executors.common import ENGINES
 from repro.gpusim.faults import ChaosConfig
 from repro.points.sorting import kd_bucket_order, morton_order
 from repro.service.batcher import Batch, DynamicBatcher, QueryTicket
@@ -60,7 +61,6 @@ from repro.telemetry import (
 
 SORT_MODES = ("arrival", "morton", "tree")
 SHED_POLICIES = ("reject-new", "drop-oldest")
-ENGINES = ("compiled", "interp", "codegen")
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,11 @@ class ServiceConfig:
 
     # -- execution engine ------------------------------------------------
 
-    #: GPU execution engine for dispatched batches: ``"compiled"`` (the
-    #: plan-compiled op programs with frontier compaction),
-    #: ``"codegen"`` (emitted + exec-compiled specialized NumPy loops,
-    #: cached in the shared plan cache), or ``"interp"`` (the per-step
-    #: AST interpreter baseline).  Individual sessions may override
-    #: this at register time.
-    engine: str = "compiled"
+    #: GPU execution engine for dispatched batches: ``"codegen"``
+    #: (emitted + exec-compiled specialized NumPy loops with frontier
+    #: compaction, cached in the shared plan cache) or ``"interp"`` (the
+    #: per-step AST interpreter, the reference engine).
+    engine: str = "codegen"
     #: frontier-compaction trigger passed to every GPU launch (see
     #: TraversalLaunch.compact_threshold); session-overridable.
     compact_threshold: float = 0.9
@@ -355,18 +353,16 @@ class TraversalService:
         app: str,
         data: np.ndarray,
         *,
-        engine: Optional[str] = None,
         compact_threshold: Optional[float] = None,
         **build_kwargs,
     ) -> TreeSession:
         """Build (or reuse) a session and give it a batching queue.
 
-        ``engine`` / ``compact_threshold`` override the service-wide
-        execution knobs for this session only (None = inherit config).
+        ``compact_threshold`` overrides the service-wide frontier-
+        compaction knob for this session only (None = inherit config).
         """
         session = self.registry.register(
-            name, app, data,
-            engine=engine, compact_threshold=compact_threshold,
+            name, app, data, compact_threshold=compact_threshold,
             **build_kwargs,
         )
         self._batchers[name] = DynamicBatcher(
@@ -777,7 +773,7 @@ class TraversalService:
                 "size": batch.size, "attempts": r.attempts,
             }
             if r.backend != "cpu":
-                largs["engine"] = sess.engine or self.config.engine
+                largs["engine"] = self.config.engine
             lspan = tracer.begin(
                 f"launch:{r.backend}", "launch", f"b{batch.id}:launch",
                 t_launch, parent_id=f"b{batch.id}", **largs,

@@ -117,9 +117,6 @@ class TreeSession:
     #: the plan-cache key this session's plan was compiled under (used
     #: for failure-driven invalidation; see SessionRegistry.refresh_plan).
     plan_key: Optional[Tuple] = None
-    #: per-session execution-engine override ("compiled" | "interp");
-    #: None defers to the service config's engine.
-    engine: Optional[str] = None
     #: per-session frontier-compaction override; None defers to config.
     compact_threshold: Optional[float] = None
     #: bumped on every refresh_plan — memoized results are keyed on it,
@@ -183,23 +180,17 @@ class SessionRegistry:
         app: str,
         data: np.ndarray,
         *,
-        engine: Optional[str] = None,
         compact_threshold: Optional[float] = None,
         **build_kwargs,
     ) -> TreeSession:
         """Build (or reuse) the tree + plan for ``(app, data)``.
 
         ``build_kwargs`` pass through to the app builder (``k``,
-        ``radius``, ``leaf_size``, ...).  ``engine`` and
-        ``compact_threshold`` are per-session *execution* overrides —
-        they never reach the builder and are not part of the build
-        fingerprint, because the same tree + plan serves both engines.
+        ``radius``, ``leaf_size``, ...).  ``compact_threshold`` is a
+        per-session *execution* override — it never reaches the builder
+        and is not part of the build fingerprint, because the same
+        tree + plan serves every threshold.
         """
-        if engine is not None and engine not in ("compiled", "interp", "codegen"):
-            raise ValueError(
-                f"engine must be 'compiled', 'interp', 'codegen', or None, "
-                f"got {engine!r}"
-            )
         if compact_threshold is not None and not 0.0 <= compact_threshold <= 1.0:
             raise ValueError(
                 f"compact_threshold must be in [0, 1], got {compact_threshold}"
@@ -220,7 +211,7 @@ class SessionRegistry:
         plan = self.plans.get_or_compile(key, built.spec)
         session = TreeSession(
             name=name, adapter=adapter, app=built, plan=plan, data=data,
-            plan_key=key, engine=engine, compact_threshold=compact_threshold,
+            plan_key=key, compact_threshold=compact_threshold,
         )
         self._sessions[name] = session
         return session

@@ -18,8 +18,8 @@ depths, continuously while the service runs:
   perturbs the counters themselves (stats stay bit-identical with
   profiling on or off).  Labels come from
   :func:`repro.core.compile.op_label` and are engine-agnostic: the
-  compiled walker and the interp baseline produce the same series for
-  the same kernel position, so hot-op rankings are comparable across
+  generated codegen loop and the interp reference produce the same
+  series for the same kernel position, so hot-op rankings are comparable across
   engines.
 * a :class:`KernelProfiler` (held by the
   :class:`~repro.telemetry.Telemetry` facade) decides which launches

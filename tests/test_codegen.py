@@ -3,7 +3,7 @@ shapes of the paper's Figures 4-8."""
 
 import numpy as np
 
-from repro.core.codegen import render_iterative, render_recursive
+from repro.core.passes import render_iterative, render_recursive
 from repro.core.lockstep import apply_lockstep
 from repro.core.autoropes import apply_autoropes
 from repro.core.annotations import Annotation

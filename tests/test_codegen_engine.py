@@ -1,13 +1,13 @@
 """Differential and cache tests for the codegen engine.
 
-``TraversalLaunch(engine="codegen")`` emits standalone NumPy source for
-the whole per-step body through the transformation-pass pipeline
-(:mod:`repro.core.passes`), ``exec``-compiles it once, and memoizes the
-function.  Like the compiled engine before it, speed without
-equivalence is a bug: everything the simulator measures must be
-*bit-identical* to the interp baseline — stats, per-point/per-warp
-lengths, step traces, visit logs, app outputs, and even the partial
-stats left behind by a chaos abort.
+``TraversalLaunch(engine="codegen")`` (the default) emits standalone
+NumPy source for the whole per-step body through the transformation-
+pass pipeline (:mod:`repro.core.passes`), ``exec``-compiles it once,
+and memoizes the function.  Speed without equivalence is a bug:
+everything the simulator measures must be *bit-identical* to the
+interp reference — stats, per-point/per-warp lengths, step traces,
+visit logs, app outputs, and even the partial stats left behind by a
+chaos abort.
 
 Also covers the generated-function caches (the per-kernel memo and the
 plan cache's service-owned tier with eviction + plan-epoch
@@ -169,15 +169,18 @@ class TestCodegenEquivalence:
             partials[engine] = L.stats.as_dict()
         assert partials["interp"] == partials["codegen"]
 
-    def test_static_ropes_falls_back(self, pc_app, compiled_apps, device4):
-        """Static ropes has no generated loop; engine="codegen" must
-        degrade to the compiled walker, not crash or drift."""
-        assert StaticRopesExecutor._codegen_supported is False
-        pi, pg = _run_pair(
-            pc_app, compiled_apps["pc"].autoropes, StaticRopesExecutor,
-            device4,
-        )
+    def test_static_ropes_falls_back(self, pc_app, compiled_apps, device4,
+                                     monkeypatch):
+        """Static ropes has no generated loop; engine="codegen" runs its
+        own interp loop, emitting nothing and drifting nowhere."""
+        dumped = []
+        monkeypatch.setattr(
+            passes, "dump_sink", lambda name, src: dumped.append(name))
+        kernel = compiled_apps["pc"].autoropes
+        kernel.__dict__.pop("_codegen_fns", None)
+        pi, pg = _run_pair(pc_app, kernel, StaticRopesExecutor, device4)
         _assert_identical("codegen/ropes/pc", pi, pg)
+        assert dumped == [] and "_codegen_fns" not in kernel.__dict__
 
     def test_recursive_masked_identical(self, pc_app, compiled_apps, device4):
         pi, pg = _run_pair(
@@ -206,10 +209,10 @@ class TestRecursiveCompaction:
                                   device4):
         kernel = (compiled_apps["pc"].lockstep if masking
                   else compiled_apps["pc"].autoropes)
-        Lo = _launch(pc_app, kernel, device4, "compiled",
+        Lo = _launch(pc_app, kernel, device4, "codegen",
                      compact_threshold=0.0)
         ro = RecursiveExecutor(Lo, masking=masking).run()
-        Lc = _launch(pc_app, kernel, device4, "compiled",
+        Lc = _launch(pc_app, kernel, device4, "codegen",
                      compact_threshold=0.9)
         rc = RecursiveExecutor(Lc, masking=masking).run()
         _assert_identical(f"rec-compact/masking={masking}",
@@ -219,7 +222,7 @@ class TestRecursiveCompaction:
     def test_compaction_actually_fires(self, pc_app, compiled_apps, device4,
                                        monkeypatch):
         L = _launch(pc_app, compiled_apps["pc"].lockstep, device4,
-                    "compiled", compact_threshold=0.9)
+                    "codegen", compact_threshold=0.9)
         ex = RecursiveExecutor(L, masking=True)
         compactions = []
         real = type(ex)._compact_rows
@@ -388,9 +391,9 @@ class TestPlanCacheCodegen:
 
 
 class TestServiceCodegen:
-    """End-to-end through the query service: engine="codegen" sessions
-    answer correctly and their generated functions ride the plan
-    cache's eviction and epoch-bump paths."""
+    """End-to-end through the query service: sessions on the default
+    codegen engine answer correctly and their generated functions ride
+    the plan cache's eviction and epoch-bump paths."""
 
     @pytest.fixture(scope="class")
     def geocity(self):
@@ -401,21 +404,13 @@ class TestServiceCodegen:
         q = data[rng.permutation(len(data))][:n]
         return q + rng.normal(scale=0.01, size=q.shape)
 
-    def test_register_validates_engine(self, geocity):
-        svc = TraversalService(ServiceConfig())
-        svc.register("ok", app="pc", data=geocity, engine="codegen",
-                     radius=0.1, leaf_size=4)
-        with pytest.raises(ValueError, match="engine"):
-            svc.register("bad", app="pc", data=geocity, engine="jit",
-                         radius=0.1, leaf_size=4)
-
     def test_results_match_oracle_and_cache_cycles(self, geocity):
         # memo_capacity=0: identical repeat queries must reach the GPU
         # path again, or the cache-hit assertions below are vacuous.
         svc = TraversalService(
             ServiceConfig(max_batch=64, backend="lockstep", memo_capacity=0))
-        sess = svc.register("pc", app="pc", data=geocity, engine="codegen",
-                            radius=0.1, leaf_size=4)
+        sess = svc.register("pc", app="pc", data=geocity, radius=0.1,
+                            leaf_size=4)
         queries = self._queries(geocity, 16)
         tickets = svc.query_many("pc", queries)
         got = np.array([t.result["count"] for t in tickets])

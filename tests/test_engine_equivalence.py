@@ -1,23 +1,26 @@
-"""Differential tests for the plan-compiled engine.
+"""Differential tests of the two engines beyond the default launch.
 
-``TraversalLaunch(engine="compiled")`` (the default) runs the
-plan-compiled op program with frontier compaction;
-``engine="interp"`` keeps the original per-step AST interpreter.  The
-two must be *bit-identical* on everything the simulator measures:
-simulated stats, per-point/per-warp traversal lengths, visit logs, and
-application outputs.  Speed without equivalence is a bug, not a result
-— these tests are the proof side of ``benchmarks/perf``.
+``TraversalLaunch(engine="codegen")`` (the default) runs the step loop
+the pass pipeline emits from the kernel's op program;
+``engine="interp"`` walks the kernel AST and is the reference.  The two
+must be *bit-identical* on everything the simulator measures: simulated
+stats, per-point/per-warp traversal lengths, visit logs, step traces
+and application outputs.
 
-Also covers the compile pass itself (repro.core.compile), the
-compaction trigger, and the validate gating (per-step pop validation
-defaults on exactly when chaos faults are armed).
+``tests/test_codegen_engine.py`` holds the engines to that on the
+default interleaved rope-stack layout.  This file covers the other
+stack layouts (the generated push/pop accounting is layout-
+specialized), autoropes step traces, static ropes (which runs its own
+loop on either engine), frontier compaction on the autoropes loop, the
+op program codegen consumes (repro.core.compile), and the validate
+gating (per-step pop validation defaults on exactly when chaos faults
+are armed).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.compile import (
-    BRANCH_PREDICATE,
     BRANCH_VOTE,
     TAG_COND,
     TAG_CONTINUE,
@@ -33,12 +36,14 @@ from repro.gpusim.executors import (
     StaticRopesExecutor,
     TraversalLaunch,
 )
-from repro.gpusim.stack import CorruptedRopeStack
+from repro.gpusim.stack import CorruptedRopeStack, RopeStackLayout
 
 APP_NAMES = ("pc", "knn", "nn", "vp", "bh")
+#: the layouts test_codegen_engine.py does not already run.
+OTHER_LAYOUTS = (RopeStackLayout.CONTIGUOUS_GLOBAL, RopeStackLayout.SHARED)
 
 
-def _launch(app, kernel, device, engine, **kw):
+def _launch(app, kernel, device, engine="codegen", **kw):
     return TraversalLaunch(
         kernel=kernel,
         tree=app.tree,
@@ -52,39 +57,48 @@ def _launch(app, kernel, device, engine, **kw):
 
 
 def _run_pair(app, kernel, exec_cls, device, **kw):
-    """Run interp and compiled engines on fresh launches; return both."""
+    """Run interp and codegen engines on fresh launches; return both."""
     Li = _launch(app, kernel, device, "interp", **kw)
     ri = exec_cls(Li).run()
-    Lc = _launch(app, kernel, device, "compiled", **kw)
-    rc = exec_cls(Lc).run()
-    return (Li, ri), (Lc, rc)
+    Lg = _launch(app, kernel, device, "codegen", **kw)
+    rg = exec_cls(Lg).run()
+    return (Li, ri), (Lg, rg)
 
 
-def _assert_identical(name, pair_i, pair_c):
-    Li, ri = pair_i
-    Lc, rc = pair_c
-    di, dc = ri.stats.as_dict(), rc.stats.as_dict()
-    diff = {k: (di[k], dc[k]) for k in di if di[k] != dc[k]}
-    assert not diff, f"{name}: compiled engine changed simulated stats: {diff}"
+def _assert_identical(name, pair_a, pair_b):
+    La, ra = pair_a
+    Lb, rb = pair_b
+    da, db = ra.stats.as_dict(), rb.stats.as_dict()
+    diff = {k: (da[k], db[k]) for k in da if da[k] != db[k]}
+    assert not diff, f"{name}: simulated stats differ: {diff}"
     np.testing.assert_array_equal(
-        ri.nodes_per_point, rc.nodes_per_point, err_msg=name
+        ra.nodes_per_point, rb.nodes_per_point, err_msg=name
     )
     np.testing.assert_array_equal(
-        ri.nodes_per_warp, rc.nodes_per_warp, err_msg=name
+        ra.nodes_per_warp, rb.nodes_per_warp, err_msg=name
     )
     np.testing.assert_array_equal(
-        ri.longest_member_per_warp, rc.longest_member_per_warp, err_msg=name
+        ra.longest_member_per_warp, rb.longest_member_per_warp, err_msg=name
     )
-    assert ri.timing.time_ms == rc.timing.time_ms, name
+    assert ra.timing.time_ms == rb.timing.time_ms, name
     # Same steps, same visits, in the same order.
-    assert len(ri.visits) == len(rc.visits), name
-    for (pi, ni), (pc_, nc) in zip(ri.visits, rc.visits):
-        np.testing.assert_array_equal(pi, pc_, err_msg=name)
-        np.testing.assert_array_equal(ni, nc, err_msg=name)
+    assert len(ra.visits) == len(rb.visits), name
+    for (pa, na), (pb, nb) in zip(ra.visits, rb.visits):
+        np.testing.assert_array_equal(pa, pb, err_msg=name)
+        np.testing.assert_array_equal(na, nb, err_msg=name)
     # Application outputs, bit for bit.
-    for key in Li.ctx.out:
+    for key in La.ctx.out:
         np.testing.assert_array_equal(
-            Li.ctx.out[key], Lc.ctx.out[key], err_msg=f"{name}:{key}"
+            La.ctx.out[key], Lb.ctx.out[key], err_msg=f"{name}:{key}"
+        )
+
+
+def _assert_traces_identical(name, ra, rb):
+    ta, tb = ra.trace.as_arrays(), rb.trace.as_arrays()
+    assert len(ra.trace) == len(rb.trace), name
+    for key in ta:
+        np.testing.assert_array_equal(
+            ta[key], tb[key], err_msg=f"trace/{name}:{key}"
         )
 
 
@@ -92,72 +106,69 @@ class TestAutoropesEquivalence:
     @pytest.mark.parametrize("name", APP_NAMES)
     def test_engines_identical(self, name, all_apps, compiled_apps, device4):
         app = all_apps[name]
-        pi, pc_ = _run_pair(
-            app, compiled_apps[name].autoropes, AutoropesExecutor, device4
-        )
-        _assert_identical(f"autoropes/{name}", pi, pc_)
+        for layout in OTHER_LAYOUTS:
+            pi, pg = _run_pair(
+                app, compiled_apps[name].autoropes, AutoropesExecutor,
+                device4, stack_layout=layout,
+            )
+            _assert_identical(f"autoropes/{layout.value}/{name}", pi, pg)
 
 
 class TestLockstepEquivalence:
     @pytest.mark.parametrize("name", APP_NAMES)
     def test_engines_identical(self, name, all_apps, compiled_apps, device4):
         app = all_apps[name]
-        pi, pc_ = _run_pair(
-            app, compiled_apps[name].lockstep, LockstepExecutor, device4
-        )
-        _assert_identical(f"lockstep/{name}", pi, pc_)
+        for layout in OTHER_LAYOUTS:
+            pi, pg = _run_pair(
+                app, compiled_apps[name].lockstep, LockstepExecutor,
+                device4, stack_layout=layout,
+            )
+            _assert_identical(f"lockstep/{layout.value}/{name}", pi, pg)
 
     @pytest.mark.parametrize("name", ("pc", "knn"))
     def test_engines_identical_warp32(
         self, name, all_apps, compiled_apps, device32
     ):
         app = all_apps[name]
-        pi, pc_ = _run_pair(
-            app, compiled_apps[name].lockstep, LockstepExecutor, device32
-        )
-        _assert_identical(f"lockstep32/{name}", pi, pc_)
+        for layout in OTHER_LAYOUTS:
+            pi, pg = _run_pair(
+                app, compiled_apps[name].lockstep, LockstepExecutor,
+                device32, stack_layout=layout,
+            )
+            _assert_identical(f"lockstep32/{layout.value}/{name}", pi, pg)
 
 
 class TestStepTraceEquivalence:
     """The telemetry layer samples StepTrace off live launches; the
-    compiled engine must produce the *same* per-step dynamics the
+    generated loop must produce the *same* per-step dynamics the
     interpreter does — not just the same totals — or sampled launch
     spans would change meaning with the engine knob."""
 
     @pytest.mark.parametrize("name", APP_NAMES)
     def test_lockstep_traces_identical(self, name, all_apps, compiled_apps,
                                        device4):
+        # Per-step transactions depend on where the stack lives.
         app = all_apps[name]
-        pi, pc_ = _run_pair(
-            app, compiled_apps[name].lockstep, LockstepExecutor, device4,
-            trace=True,
-        )
-        (_, ri), (_, rc) = pi, pc_
-        ai, ac = ri.trace.as_arrays(), rc.trace.as_arrays()
-        assert len(ri.trace) == len(rc.trace), name
-        for key in ai:
-            np.testing.assert_array_equal(
-                ai[key], ac[key], err_msg=f"trace/{name}:{key}"
+        for layout in OTHER_LAYOUTS:
+            (_, ri), (_, rg) = _run_pair(
+                app, compiled_apps[name].lockstep, LockstepExecutor, device4,
+                trace=True, stack_layout=layout,
             )
+            _assert_traces_identical(f"{layout.value}/{name}", ri, rg)
 
     @pytest.mark.parametrize("name", APP_NAMES)
     def test_autoropes_traces_identical(self, name, all_apps, compiled_apps,
                                         device4):
         app = all_apps[name]
-        pi, pc_ = _run_pair(
+        (_, ri), (_, rg) = _run_pair(
             app, compiled_apps[name].autoropes, AutoropesExecutor, device4,
             trace=True,
         )
-        (_, ri), (_, rc) = pi, pc_
-        ai, ac = ri.trace.as_arrays(), rc.trace.as_arrays()
-        for key in ai:
-            np.testing.assert_array_equal(
-                ai[key], ac[key], err_msg=f"trace/{name}:{key}"
-            )
+        _assert_traces_identical(name, ri, rg)
 
     def test_sample_events_decimation(self, pc_app, compiled_apps, device4):
         L = _launch(pc_app, compiled_apps["pc"].lockstep, device4,
-                    "compiled", trace=True)
+                    trace=True)
         trace = LockstepExecutor(L).run().trace
         n = len(trace)
         assert n > 8
@@ -176,50 +187,58 @@ class TestStepTraceEquivalence:
 class TestStaticRopesEquivalence:
     def test_engines_identical(self, pc_app, compiled_apps, device4):
         # Static ropes only accept unguided traversals; pc qualifies.
-        pi, pc_ = _run_pair(
-            pc_app, compiled_apps["pc"].autoropes, StaticRopesExecutor, device4
+        # It runs its own loop on either engine, traces included.
+        pi, pg = _run_pair(
+            pc_app, compiled_apps["pc"].autoropes, StaticRopesExecutor,
+            device4, trace=True,
         )
-        _assert_identical("ropes/pc", pi, pc_)
+        _assert_identical("ropes/pc", pi, pg)
+        _assert_traces_identical("ropes/pc", pi[1], pg[1])
 
 
 class TestCompaction:
-    """Frontier compaction must be invisible to everything measured."""
+    """Frontier compaction must be invisible to everything measured.
+
+    The lockstep (and recursive) row gather is covered in
+    test_codegen_engine.py; this is the autoropes warp-group gather."""
 
     @pytest.mark.parametrize("name", APP_NAMES)
     def test_disabled_vs_enabled(self, name, all_apps, compiled_apps, device4):
         app = all_apps[name]
-        kernel = compiled_apps[name].lockstep
-        Lo = _launch(app, kernel, device4, "compiled", compact_threshold=0.0)
-        ro = LockstepExecutor(Lo).run()
-        Lc = _launch(app, kernel, device4, "compiled", compact_threshold=0.9)
-        rc = LockstepExecutor(Lc).run()
+        kernel = compiled_apps[name].autoropes
+        Lo = _launch(app, kernel, device4, compact_threshold=0.0)
+        ro = AutoropesExecutor(Lo).run()
+        Lc = _launch(app, kernel, device4, compact_threshold=0.9)
+        rc = AutoropesExecutor(Lc).run()
         _assert_identical(f"compact/{name}", (Lo, ro), (Lc, rc))
 
     def test_compaction_actually_fires(self, pc_app, compiled_apps, device4,
                                        monkeypatch):
-        L = _launch(pc_app, compiled_apps["pc"].lockstep, device4, "compiled",
+        L = _launch(pc_app, compiled_apps["pc"].autoropes, device4,
                     compact_threshold=0.9)
-        ex = LockstepExecutor(L)
+        ex = AutoropesExecutor(L)
         compactions = []
-        real = type(ex)._compact_rows
+        real = type(ex)._compact_groups
 
         def spy(self, sel):
-            compactions.append(int(sel.sum()))
+            compactions.append(len(sel))
             return real(self, sel)
 
-        monkeypatch.setattr(type(ex), "_compact_rows", spy)
+        monkeypatch.setattr(type(ex), "_compact_groups", spy)
         ex.run()
         assert compactions, "long-tailed pc traversal never compacted"
-        # Each compaction strictly narrows the live row set.
+        # Each compaction keeps at least one live warp group.
         assert all(c >= 1 for c in compactions)
 
     def test_threshold_validation(self, pc_app, compiled_apps, device4):
         with pytest.raises(ValueError):
             _launch(pc_app, compiled_apps["pc"].lockstep, device4,
-                    "compiled", compact_threshold=1.5)
+                    compact_threshold=1.5)
 
 
 class TestCompiledProgram:
+    """The op program: codegen's input IR."""
+
     def test_program_memoized_on_kernel(self, compiled_apps):
         k = compiled_apps["pc"].autoropes
         assert program_for(k) is program_for(k)
@@ -287,26 +306,26 @@ class TestValidateGating:
 
     def test_clean_launch_skips_validation(self, pc_app, compiled_apps,
                                            device4):
-        L = _launch(pc_app, compiled_apps["pc"].autoropes, device4, "compiled")
+        L = _launch(pc_app, compiled_apps["pc"].autoropes, device4)
         assert L.validate is False
 
     def test_armed_chaos_enables_validation(self, pc_app, compiled_apps,
                                             device4):
         L = _launch(
-            pc_app, compiled_apps["pc"].autoropes, device4, "compiled",
+            pc_app, compiled_apps["pc"].autoropes, device4,
             fault_plan=BatchFaultPlan(corrupt_stack_at=3),
         )
         assert L.validate is True
 
     def test_explicit_override_wins(self, pc_app, compiled_apps, device4):
         L = _launch(pc_app, compiled_apps["pc"].autoropes, device4,
-                    "compiled", validate=True)
+                    validate=True)
         assert L.validate is True
 
-    @pytest.mark.parametrize("engine", ("interp", "compiled"))
+    @pytest.mark.parametrize("engine", ("interp", "codegen"))
     def test_chaos_run_still_catches_corruption(self, engine, pc_app,
                                                 compiled_apps, device4):
-        """The optimized engine must not outrun the safety net: a
+        """The generated loop must not outrun the safety net: a
         corrupted stack under chaos aborts cleanly on both engines."""
         L = _launch(
             pc_app, compiled_apps["pc"].autoropes, device4, engine,
@@ -315,7 +334,7 @@ class TestValidateGating:
         with pytest.raises(CorruptedRopeStack):
             AutoropesExecutor(L).run()
 
-    @pytest.mark.parametrize("engine", ("interp", "compiled"))
+    @pytest.mark.parametrize("engine", ("interp", "codegen"))
     def test_chaos_corruption_lockstep(self, engine, pc_app, compiled_apps,
                                        device4):
         L = _launch(
@@ -326,5 +345,7 @@ class TestValidateGating:
             LockstepExecutor(L).run()
 
     def test_engine_name_validated(self, pc_app, compiled_apps, device4):
-        with pytest.raises(ValueError):
-            _launch(pc_app, compiled_apps["pc"].autoropes, device4, "jit")
+        for engine in ("jit", "compiled"):
+            with pytest.raises(ValueError):
+                _launch(pc_app, compiled_apps["pc"].autoropes, device4,
+                        engine)

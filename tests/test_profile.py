@@ -6,7 +6,7 @@ The profiler's contract has three legs:
   profiling on or off (attribution reads counters, never writes).
 * **Reconciliation** — per-op attributed counters sum to the launch
   totals (the step-overhead label absorbs inter-op costs).
-* **Engine parity** — the interp baseline and the plan-compiled engine
+* **Engine parity** — the interp reference and the codegen engine
   produce the same per-op series for the same kernel, so hot-op
   rankings are comparable across the engine knob.
 """
@@ -91,7 +91,7 @@ class TestDepthMap:
 
 class TestReconciliation:
     @pytest.mark.parametrize("name", APPS)
-    @pytest.mark.parametrize("engine", ("interp", "compiled"))
+    @pytest.mark.parametrize("engine", ("interp", "codegen"))
     def test_per_op_counters_sum_to_launch_totals(
         self, name, engine, all_apps, compiled_apps, device4
     ):
@@ -111,7 +111,7 @@ class TestReconciliation:
     def test_overhead_label_present(self, all_apps, compiled_apps, device4):
         prof, _ = _run_profiled(
             all_apps["pc"], compiled_apps["pc"].lockstep, LockstepExecutor,
-            device4, "compiled",
+            device4, "codegen",
         )
         assert OVERHEAD_LABEL in prof.ops
         # Overhead is bookkeeping, never an executed op.
@@ -128,10 +128,10 @@ class TestZeroPerturbation:
         exec_cls = (
             LockstepExecutor if variant == "lockstep" else AutoropesExecutor
         )
-        prof, r_on = _run_profiled(app, kernel, exec_cls, device4, "compiled")
+        prof, r_on = _run_profiled(app, kernel, exec_cls, device4, "codegen")
         launch = TraversalLaunch(
             kernel=kernel, tree=app.tree, ctx=app.make_ctx(),
-            n_points=app.n_points, device=device4, engine="compiled",
+            n_points=app.n_points, device=device4, engine="codegen",
         )
         r_off = exec_cls(launch).run()
         assert r_on.stats.as_dict() == r_off.stats.as_dict()
@@ -146,20 +146,20 @@ class TestEngineParity:
     def test_hot_op_ranking_identical_across_engines(
         self, name, all_apps, compiled_apps, device4
     ):
-        """Interp and compiled engines must rank the same ops in the
+        """Interp and codegen engines must rank the same ops in the
         same order with the same attributed cycles — the acceptance
         bar for cross-engine profiler comparability."""
         app = all_apps[name]
         kernel = compiled_apps[name].lockstep
         rankings = {}
-        for engine in ("interp", "compiled"):
+        for engine in ("interp", "codegen"):
             profiler = KernelProfiler(sample_rate=1, top_k=16)
             prof, _ = _run_profiled(
                 app, kernel, LockstepExecutor, device4, engine
             )
             profiler.fold(name, prof, device=device4)
             rankings[engine] = profiler.hot_ops(name)
-        ri, rc = rankings["interp"], rankings["compiled"]
+        ri, rc = rankings["interp"], rankings["codegen"]
         assert [e["op"] for e in ri] == [e["op"] for e in rc], name
         for ei, ec in zip(ri, rc):
             assert ei["cycles"] == pytest.approx(ec["cycles"], rel=1e-9)
@@ -175,9 +175,9 @@ class TestEngineParity:
             engine: _run_profiled(
                 app, kernel, LockstepExecutor, device4, engine
             )
-            for engine in ("interp", "compiled")
+            for engine in ("interp", "codegen")
         }
-        (pi, ri), (pc_, _) = profiles["interp"], profiles["compiled"]
+        (pi, ri), (pc_, _) = profiles["interp"], profiles["codegen"]
         np.testing.assert_array_equal(pi.depth_visits, pc_.depth_visits)
         np.testing.assert_allclose(pi.depth_lane_visits, pc_.depth_lane_visits)
         # The two histogram layers reconcile with the kernel counters:
@@ -193,7 +193,7 @@ class TestEngineParity:
         app = all_apps["pc"]
         prof, result = _run_profiled(
             app, compiled_apps["pc"].autoropes, AutoropesExecutor, device4,
-            "compiled",
+            "codegen",
         )
         # One row = one point in the non-lockstep executor, so visits
         # and lane visits coincide and both equal the useful total.
@@ -219,7 +219,7 @@ class TestKernelProfiler:
         profiler = KernelProfiler(sample_rate=1, top_k=2)
         prof, _ = _run_profiled(
             all_apps["pc"], compiled_apps["pc"].lockstep, LockstepExecutor,
-            device4, "compiled",
+            device4, "codegen",
         )
         profiler.fold("pc", prof, device=device4)
         hot = profiler.hot_ops("pc")
@@ -241,7 +241,7 @@ class TestKernelProfiler:
         assert profiler.should_sample()
         prof, _ = _run_profiled(
             all_apps["knn"], compiled_apps["knn"].lockstep, LockstepExecutor,
-            device4, "compiled",
+            device4, "codegen",
         )
         profiler.fold("knn", prof, device=device4)
         text = registry.expose_text()

@@ -9,6 +9,11 @@ node) truncation and call-order decisions,
 * the lockstep executor performs exactly the same per-point *updates*
   (set semantics), with masks, votes and phantom carrying handled;
 * the recursive-baseline executors also produce identical updates;
+* every executor's generated step loop (``engine="codegen"``) is
+  bit-identical to the interpreter (``engine="interp"``) on stats,
+  modeled time, visit logs, step traces and outputs, across the loop
+  facts it is specialized on (warp width, compaction, validation,
+  watchdog guard, tracing);
 * the generated per-point traversal (the service's CPU engine) visits
   the same nodes and leaves ``ctx.out`` bit-identical to recursion.
 """
@@ -42,8 +47,10 @@ from repro.gpusim.executors import (
     RecursiveExecutor,
     TraversalLaunch,
 )
+from repro.gpusim.kernel import VisitBudgetExceeded
 
 DEVICE = small_test_device(warp_size=4)
+DEVICES = {4: DEVICE, 32: small_test_device(warp_size=32)}
 PIPELINE = TransformPipeline()
 
 
@@ -160,20 +167,83 @@ def test_autoropes_visit_order_equals_recursion(tree_seed, salt, n_nodes, n_pts)
     np.testing.assert_array_equal(ctx.out["visits"], ref_ctx.out["visits"])
 
 
+def _run_engine(kernel, exe, tree, n_pts, engine, **launch_kw):
+    """One launch; returns (ctx, result or the budget abort, stats)."""
+    ctx = make_ctx(tree, n_pts)
+    launch = TraversalLaunch(
+        kernel=kernel, tree=tree, ctx=ctx, n_points=n_pts, engine=engine,
+        **launch_kw,
+    )
+    try:
+        result = exe(launch).run()
+    except VisitBudgetExceeded as exc:
+        result = exc
+    return ctx, result, launch.stats.as_dict()
+
+
+def _assert_engines_identical(name, interp, codegen):
+    (ctx_i, ri, si), (ctx_g, rg, sg) = interp, codegen
+    diff = {k: (si[k], sg.get(k)) for k in si if si[k] != sg.get(k)}
+    assert not diff and si.keys() == sg.keys(), f"{name}: stats {diff}"
+    if isinstance(ri, VisitBudgetExceeded):
+        # Both engines abort at the same step, partial stats equal.
+        assert isinstance(rg, VisitBudgetExceeded), name
+        assert ri.step == rg.step, name
+        return
+    assert not isinstance(rg, VisitBudgetExceeded), name
+    assert ri.time_ms == rg.time_ms, name
+    for attr in ("nodes_per_point", "nodes_per_warp",
+                 "longest_member_per_warp"):
+        assert_bit_identical(getattr(rg, attr), getattr(ri, attr))
+    assert (ri.visits is None) == (rg.visits is None), name
+    if ri.visits is not None:
+        assert len(ri.visits) == len(rg.visits), name
+        for (pi, ni), (pg, ng) in zip(ri.visits, rg.visits):
+            assert_bit_identical(pg, pi)
+            assert_bit_identical(ng, ni)
+    assert (ri.trace is None) == (rg.trace is None), name
+    if ri.trace is not None:
+        ti, tg = ri.trace.as_arrays(), rg.trace.as_arrays()
+        for key in ti:
+            assert_bit_identical(tg[key], ti[key])
+    for key in ctx_i.out:
+        assert_bit_identical(ctx_g.out[key], ctx_i.out[key])
+
+
 @given(
     tree_seed=st.integers(0, 10_000),
     salt=st.integers(0, 10_000),
     n_nodes=st.integers(1, 60),
-    n_pts=st.integers(1, 20),
+    n_pts=st.integers(1, 64),
     guided=st.booleans(),
+    warp=st.sampled_from(sorted(DEVICES)),
+    compact=st.sampled_from((0.0, 0.9)),
+    validate=st.booleans(),
+    budget=st.sampled_from((None, 4, 1_000_000)),
+    observe=st.booleans(),
 )
-@settings(max_examples=25, deadline=None)
-def test_all_executors_agree_on_updates(tree_seed, salt, n_nodes, n_pts, guided):
-    """Update *sets* are identical across every executor variant.
+@settings(max_examples=40, deadline=None)
+def test_all_executors_agree_on_updates(
+    tree_seed, salt, n_nodes, n_pts, guided, warp, compact, validate,
+    budget, observe,
+):
+    """Update *sets* are identical across every executor variant, and
+    each variant's two engines are bit-identical.
 
     For the unguided spec updates depend only on (point, node), and for
     the guided spec the truncation predicate is order-independent too,
-    so even the vote-reordered lockstep run must hit the same set."""
+    so even the vote-reordered lockstep run must hit the same set.
+
+    The engine parity is the proof that licenses running generated
+    loops: every ``KernelStats`` field, ``time_ms``, per-point and
+    per-warp lengths, visit logs, step traces and every ``ctx.out``
+    array must match bit for bit.  The drawn launch knobs cover the
+    loop-facts axes the generated source is specialized on: warp width,
+    compaction emitted or not (64 points on 4-lane warps is 16 warps,
+    enough rows for the gather to fire), validation, the watchdog guard
+    (a budget of 4 steps trips it, and both engines must then abort at
+    the same step with the same partial stats), and tracing plus the
+    visit log."""
     rng = np.random.default_rng(tree_seed)
     tree = random_tree(rng, n_nodes)
     spec = make_spec(salt, guided=guided)
@@ -184,18 +254,27 @@ def test_all_executors_agree_on_updates(tree_seed, salt, n_nodes, n_pts, guided)
     for p in range(n_pts):
         interp.run_point(p)
 
+    launch_kw = dict(
+        device=DEVICES[warp], compact_threshold=compact, validate=validate,
+        visit_budget=budget, record_visits=observe, trace=observe,
+    )
     runs = [
-        (compiled.autoropes, AutoropesExecutor, {}),
-        (compiled.lockstep, LockstepExecutor, {}),
-        (compiled.lockstep, lambda L: RecursiveExecutor(L, masking=True), {}),
-        (compiled.autoropes, lambda L: RecursiveExecutor(L, masking=False), {}),
+        ("autoropes", compiled.autoropes, AutoropesExecutor),
+        ("lockstep", compiled.lockstep, LockstepExecutor),
+        ("rec-masked", compiled.lockstep,
+         lambda L: RecursiveExecutor(L, masking=True)),
+        ("rec-unmasked", compiled.autoropes,
+         lambda L: RecursiveExecutor(L, masking=False)),
     ]
-    for kernel, exe, kw in runs:
-        ctx = make_ctx(tree, n_pts)
-        launch = TraversalLaunch(
-            kernel=kernel, tree=tree, ctx=ctx, n_points=n_pts, device=DEVICE, **kw
-        )
-        exe(launch).run()
+    for name, kernel, exe in runs:
+        by_engine = [
+            _run_engine(kernel, exe, tree, n_pts, engine, **launch_kw)
+            for engine in ("interp", "codegen")
+        ]
+        _assert_engines_identical(name, *by_engine)
+        ctx, result, _ = by_engine[0]
+        if isinstance(result, VisitBudgetExceeded):
+            continue
         np.testing.assert_allclose(ctx.out["mass"], ref_ctx.out["mass"])
         np.testing.assert_array_equal(ctx.out["visits"], ref_ctx.out["visits"])
 

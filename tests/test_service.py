@@ -14,6 +14,7 @@ import pytest
 from repro.points.datasets import dataset_by_name
 from repro.service import (
     BACKENDS,
+    ENGINES,
     DynamicBatcher,
     QueryTicket,
     ServiceConfig,
@@ -343,42 +344,39 @@ class TestMemoization:
 
 
 class TestEngineKnobs:
-    def test_interp_session_matches_compiled(self, geocity512):
+    def test_interp_service_matches_codegen(self, geocity512):
         queries = jittered_queries(geocity512, 40, seed=11)
         results = {}
-        for engine in ("compiled", "interp"):
-            svc = TraversalService(ServiceConfig(memo_capacity=0))
-            sess = svc.register(
+        for engine in ENGINES:
+            svc = TraversalService(
+                ServiceConfig(engine=engine, memo_capacity=0))
+            svc.register(
                 "pc", app="pc", data=geocity512, radius=0.1, leaf_size=4,
-                engine=engine,
             )
-            assert sess.engine == engine
             tickets = svc.query_many("pc", queries)
             results[engine] = np.array([t.result["count"] for t in tickets])
-        np.testing.assert_array_equal(results["compiled"], results["interp"])
+        np.testing.assert_array_equal(results["codegen"], results["interp"])
 
     def test_session_knobs_override_config(self, geocity512):
+        assert ServiceConfig().engine == "codegen"
         svc = TraversalService(ServiceConfig(engine="interp",
                                              compact_threshold=0.5))
         default = svc.register("a", app="nn", data=geocity512)
         override = svc.register(
-            "b", app="nn", data=geocity512, engine="compiled",
-            compact_threshold=0.7,
+            "b", app="nn", data=geocity512, compact_threshold=0.7,
         )
-        assert default.engine is None and default.compact_threshold is None
-        assert override.engine == "compiled"
+        assert default.compact_threshold is None
         assert override.compact_threshold == 0.7
         # Knobs are per-session, not part of the plan fingerprint.
         assert svc.stats().plan_cache.hits == 1
 
     def test_invalid_knobs_rejected(self, geocity512):
-        with pytest.raises(ValueError, match="engine"):
-            ServiceConfig(engine="jit")
+        for engine in ("jit", "compiled"):
+            with pytest.raises(ValueError, match="engine"):
+                ServiceConfig(engine=engine)
         with pytest.raises(ValueError, match="compact"):
             ServiceConfig(compact_threshold=1.5)
         svc = TraversalService(ServiceConfig())
-        with pytest.raises(ValueError, match="engine"):
-            svc.register("x", app="nn", data=geocity512, engine="jit")
         with pytest.raises(ValueError, match="compact"):
             svc.register("y", app="nn", data=geocity512,
                          compact_threshold=-0.1)

@@ -346,7 +346,7 @@ class TestServiceTelemetry:
             ts = [e["t_ms"] for e in steps]
             assert ts == sorted(ts)
             assert s.t_start <= ts[0] and ts[-1] <= s.t_end
-            assert s.args.get("engine") == "compiled"
+            assert s.args.get("engine") == "codegen"
 
     def test_metrics_agree_with_stats(self, geocity512):
         svc = self._service(geocity512)
