@@ -190,24 +190,23 @@ print(json.dumps({
 """
 
 
-def _seed_checkout(log) -> Optional[Tuple[str, str]]:
-    """Extract the repo's root commit into a temp dir; (ref, src_path)."""
+def _seed_checkout(dest: str, log) -> Optional[str]:
+    """Extract the repo's root commit into ``dest``; return its ref."""
     try:
         ref = subprocess.run(
             ["git", "rev-list", "--max-parents=0", "HEAD"],
             capture_output=True, text=True, check=True,
         ).stdout.strip().splitlines()[0]
-        dest = tempfile.mkdtemp(prefix="seed-baseline-")
         archive = subprocess.run(
             ["git", "archive", ref], capture_output=True, check=True
         )
         subprocess.run(
             ["tar", "-x", "-C", dest], input=archive.stdout, check=True
         )
-    except (subprocess.CalledProcessError, OSError) as exc:
+    except (subprocess.CalledProcessError, OSError, IndexError) as exc:
         log(f"seed baseline skipped: cannot extract seed checkout ({exc})")
         return None
-    return ref, os.path.join(dest, "src")
+    return ref
 
 
 def measure_seed_baseline(
@@ -220,11 +219,18 @@ def measure_seed_baseline(
     pristine checkout of the seed, so the numbers are the actual
     "before" of the trajectory, not the in-tree interpreter re-walking
     the seed's footsteps with this PR's shared-library improvements.
+    The checkout lives in a temporary directory that is removed on
+    every way out.
     """
-    checkout = _seed_checkout(log)
-    if checkout is None:
-        return None
-    ref, src = checkout
+    with tempfile.TemporaryDirectory(prefix="seed-baseline-") as dest:
+        ref = _seed_checkout(dest, log)
+        if ref is None:
+            return None
+        return _time_seed_cells(workloads, ref, os.path.join(dest, "src"), log)
+
+
+def _time_seed_cells(workloads, ref: str, src: str, log) -> dict:
+    """Run every seed cell in a subprocess against the checkout ``src``."""
     env = dict(os.environ, PYTHONPATH=src)
     rows = []
     for bench, input_name, scale_name, executors in workloads:
@@ -441,16 +447,11 @@ def _launch(app, kernel, engine: str, verify_visits: bool) -> TraversalLaunch:
     )
 
 
-def _time_run(executor_cls, launches: List[TraversalLaunch]):
-    """Best-of wall time over fresh launches (stats are per-launch)."""
-    best = None
-    for L in launches:
-        t0 = time.perf_counter()
-        result = executor_cls(L).run()
-        wall = time.perf_counter() - t0
-        if best is None or wall < best[0]:
-            best = (wall, result)
-    return best
+def _time_run(executor_cls, launch: TraversalLaunch):
+    """Wall time and result of one fresh launch."""
+    t0 = time.perf_counter()
+    result = executor_cls(launch).run()
+    return time.perf_counter() - t0, result
 
 
 def _assert_equivalent(
@@ -481,11 +482,17 @@ def run_cell(
     input_name: str,
     scale_name: str,
     executors: Tuple[str, ...],
-    repeat: int = 1,
+    repeat: int = 3,
     verify_visits: bool = False,
     runner: Optional[ExperimentRunner] = None,
 ) -> dict:
     """Time one workload cell: both engines, every requested executor.
+
+    Each of the ``repeat`` repetitions runs every engine once, in turn,
+    so a slow phase of the host lands on both engines rather than on
+    whichever one happened to be timing then.  Rows keep each engine's
+    best (minimum) wall time; speedup rows also carry each engine's
+    maximum, the spread of the repetitions.
 
     Returns plain ``{"rows": [...], "speedups": [...]}`` dicts so the
     cell is a valid :class:`repro.fleet.pool.ProcessPool` job
@@ -506,14 +513,20 @@ def run_cell(
     rows: List[Row] = []
     speedups: List[dict] = []
     for exec_name, exec_cls, kernel in variants:
-        per_engine: Dict[str, Tuple[float, object]] = {}
+        walls: Dict[str, List[float]] = {engine: [] for engine in ENGINES}
+        results: Dict[str, object] = {}
+        for _ in range(repeat):
+            for engine in ENGINES:
+                wall, results[engine] = _time_run(
+                    exec_cls, _launch(app, kernel, engine, verify_visits)
+                )
+                walls[engine].append(wall)
+            _assert_equivalent(
+                bench, exec_name, results["interp"], results["codegen"],
+                verify_visits,
+            )
         for engine in ENGINES:
-            launches = [
-                _launch(app, kernel, engine, verify_visits)
-                for _ in range(repeat)
-            ]
-            wall, result = _time_run(exec_cls, launches)
-            per_engine[engine] = (wall, result)
+            result = results[engine]
             rows.append(
                 Row(
                     app=bench,
@@ -521,16 +534,14 @@ def run_cell(
                     scale=scale_name,
                     executor=exec_name,
                     engine=engine,
-                    wall_s=wall,
+                    wall_s=min(walls[engine]),
                     steps=result.stats.steps,
                     node_visits=result.stats.node_visits,
                     warp_node_visits=result.stats.warp_node_visits,
                     model_time_ms=result.time_ms,
                 )
             )
-        wi, ri = per_engine["interp"]
-        wg, rg = per_engine["codegen"]
-        _assert_equivalent(bench, exec_name, ri, rg, verify_visits)
+        wi, wg = min(walls["interp"]), min(walls["codegen"])
         speedups.append(
             {
                 "app": bench,
@@ -538,7 +549,9 @@ def run_cell(
                 "scale": scale_name,
                 "executor": exec_name,
                 "interp_s": round(wi, 4),
+                "interp_max_s": round(max(walls["interp"]), 4),
                 "codegen_s": round(wg, 4),
+                "codegen_max_s": round(max(walls["codegen"]), 4),
                 "codegen_speedup": round(wi / wg if wg > 0 else float("inf"), 2),
             }
         )
@@ -547,7 +560,7 @@ def run_cell(
 
 def run_benchmark(
     workloads: Tuple[Tuple[str, str, str, Tuple[str, ...]], ...],
-    repeat: int = 1,
+    repeat: int = 3,
     verify_visits: bool = False,
     log=print,
     jobs: int = 1,
@@ -586,7 +599,8 @@ def run_benchmark(
         for s in cell["speedups"]:
             log(
                 f"{s['app']}/{s['input']}@{s['scale']} {s['executor']}: "
-                f"interp {s['interp_s']:.3f}s, codegen {s['codegen_s']:.3f}s "
+                f"interp {s['interp_s']:.3f}-{s['interp_max_s']:.3f}s, "
+                f"codegen {s['codegen_s']:.3f}-{s['codegen_max_s']:.3f}s "
                 f"-> {s['codegen_speedup']:.2f}x (stats identical)"
             )
     lockstep_sp = [
@@ -636,7 +650,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="exit 1 if the codegen engine is slower than the interpreter "
         "on any workload, or than the seed executors on any seed cell",
     )
-    ap.add_argument("--repeat", type=int, default=1, help="best-of-N timing")
+    ap.add_argument(
+        "--repeat",
+        type=int,
+        default=3,
+        help="best-of-N timing; each repetition runs both engines in turn",
+    )
     ap.add_argument(
         "--jobs",
         type=int,
@@ -675,6 +694,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.jobs < 1:
         ap.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.repeat < 1:
+        ap.error(f"--repeat must be >= 1, got {args.repeat}")
     report = run_benchmark(
         workloads,
         repeat=args.repeat,

@@ -490,8 +490,10 @@ class _LoopEmitterBase(EmitPass):
     Subclasses own their loop template (the lockstep warp loop and the
     per-thread autoropes loop differ in mask rank, bookkeeping and
     push accounting) and share variable binding, argument sub-dict
-    construction, field-charge emission (with same-mask fusion) and
-    the sequence walker with its liveness guards.
+    construction, field-charge emission (with same-mask fusion), the
+    sequence walker with its liveness guards, and the inlined
+    accounting: the L2 update, one-lane memory accesses, issue
+    accounting and the rope stack's prelude and traffic.
     """
 
     kind = ""
@@ -691,9 +693,6 @@ class _LoopEmitterBase(EmitPass):
         w.line("L = ex.L")
         w.line("stats = L.stats")
         w.line("stack = ex.stack")
-        w.line("stack_pop = stack.pop")
-        w.line("stack_push = stack.push")
-        w.line("issue = L.issue.issue")
         w.line("mem = L.memory.warp_access")
         w.line("ctx = ex.ctx")
         w.line("ws = ex.ws")
@@ -704,6 +703,7 @@ class _LoopEmitterBase(EmitPass):
             for g in self.groups:
                 w.line(f"{self._rg[g]} = regions[{g!r}]")
                 w.line(f"{self._it[g]} = {self._rg[g]}.itemsize")
+                w.line(f"{self._rb[g]} = {self._rg[g]}.base")
         facts = self.unit.facts
         if facts.compact:
             w.line("threshold = L.compact_threshold")
@@ -713,6 +713,22 @@ class _LoopEmitterBase(EmitPass):
             w.line("trace = ex._trace")
         if facts.visit_log:
             w.line("vlog = ex._visit_log")
+        w.line("vlanes = L.issue.valid_lanes")
+        w.line("M = L.memory")
+        w.line("l2on = M.l2_enabled")
+        w.line("capl = M._capacity_lines")
+        child_names: List[str] = []
+        for nd in _walk(self.unit.nodes):
+            if nd.kind == "push":
+                for call in nd.op.calls:
+                    if call.child not in child_names:
+                        child_names.append(call.child)
+        self._childarr = {c: f"ct{i}" for i, c in enumerate(child_names)}
+        for c in child_names:
+            w.line(
+                f"{self._childarr[c]} = np.asarray("
+                f"tree.children[{c!r}], dtype=np.int64)"
+            )
         w.line("steps = 0")
         w.line("node_visits = np.int64(0)")
         w.line("warp_node_visits = np.int64(0)")
@@ -726,54 +742,73 @@ class _LoopEmitterBase(EmitPass):
             if g in self.multi:
                 w.line(f"{self._sg[g]} = None")
 
-    def _emit_finally(self) -> None:
+    # -- inlined accounting helpers ------------------------------------------
+    #
+    # Both step loops inline the simulator's per-step accounting instead
+    # of calling it.  Every sequence below reproduces its helper's
+    # arithmetic exactly (same reductions, same accumulation order per
+    # stat, one memory-model update per access in program order); the
+    # differential suites hold the result to bit-identical stats.
+
+    def _emit_l2_inline(self, fv: str, nt: Optional[str]) -> None:
+        """Inline ``GlobalMemory._touch``: dedupe, then L2 and EMA update.
+
+        ``fv`` names a fresh 1-D array of touched segments (sorted in
+        place), ``nt`` the access's transaction count, or ``None`` when
+        each distinct segment is one transaction (the structural stack
+        path).  The last-touch array is re-read each time: an access
+        through ``mem`` may have grown it.
+        """
         w = self.w
-        w.dedent()
-        w.line("finally:")
+        facts = self.unit.facts
+        w.line(f"{fv}.sort()")
+        uq = w.fresh("u")
+        w.line(f"if len({fv}) > 1:")
         w.indent()
-        w.line("stats.steps += steps")
-        w.line("stats.node_visits += int(node_visits)")
-        w.line("stats.warp_node_visits += int(warp_node_visits)")
+        kp = w.fresh("kp")
+        w.line(f"{kp} = np.empty(len({fv}), dtype=bool)")
+        w.line(f"{kp}[0] = True")
+        w.line(f"np.not_equal({fv}[1:], {fv}[:-1], out={kp}[1:])")
+        w.line(f"{uq} = {fv}[{kp}]")
         w.dedent()
-
-
-@register_pass
-class EmitLockstepLoop(_LoopEmitterBase):
-    """Emit the lockstep warp loop (the Fig. 8 execution shape).
-
-    Beyond straight-line specialization, this backend inlines the
-    per-step hot path of the simulator's accounting helpers — rope
-    stack push/pop with layout-specialized traffic charging, warp
-    issue accounting, field-load addressing, and flat-index
-    gather/scatter around the application callbacks — so one step
-    costs a handful of vectorized passes instead of dozens of small
-    helper calls.  Every inlined sequence reproduces the helper's
-    arithmetic exactly (same reductions, same accumulation order);
-    the differential suite holds the result to bit-identical stats.
-
-    Two defensive checks are specialized out when ``facts.validate``
-    is off (clean launches): the empty-pop guard and the popped-node
-    bounds validation.  Chaos-armed launches always validate, so the
-    safety net is identical where it can matter.
-    """
-
-    kind = "lockstep"
-
-    def _mask_col(self, var: str) -> str:
-        return f"{var}[:, None]"
-
-    def _addr_expr(self, group: str) -> str:
-        # Region.addresses inlined: base + index * itemsize.
-        return f"(({self._rb[group]} + safe_node * {self._it[group]})[:, None])"
-
-    def _row_of(self, fl: str) -> str:
-        """Row index of a flat lane index (shift when ws is 2**k)."""
-        ws = self.unit.facts.ws
-        if ws & (ws - 1) == 0:
-            return f"{fl} >> {ws.bit_length() - 1}"
-        return f"{fl} // {ws}"
-
-    # -- inlined accounting helpers -----------------------------------------
+        w.line("else:")
+        w.indent()
+        w.line(f"{uq} = {fv}")
+        w.dedent()
+        dup = ""
+        if nt is None:
+            nt = w.fresh("nt")
+            w.line(f"{nt} = len({uq})")
+        else:
+            dup = f" + ({nt} - len({uq}))"
+        w.line(f"stats.global_transactions += {nt}")
+        mx = w.fresh("mx")
+        w.line(f"{mx} = int({uq}[-1])")
+        w.line("lt = M._last_touch")
+        w.line(f"if {mx} >= len(lt):")
+        w.indent()
+        w.line(f"M._ensure_capacity({mx})")
+        w.line("lt = M._last_touch")
+        w.dedent()
+        hs = w.fresh("hs")
+        w.line("if l2on:")
+        w.indent()
+        w.line(
+            f"{hs} = int((step - lt[{uq}] <= "
+            f"capl / max(1.0, M._ema_unique_per_step)).sum()){dup}"
+        )
+        w.dedent()
+        w.line("else:")
+        w.indent()
+        w.line(f"{hs} = 0")
+        w.dedent()
+        w.line(f"lt[{uq}] = step")
+        w.line(
+            "M._ema_unique_per_step = 0.98 * M._ema_unique_per_step "
+            f"+ 0.02 * len({uq})"
+        )
+        w.line(f"stats.l2_hit_transactions += {hs}")
+        w.line(f"stats.dram_bytes += ({nt} - {hs}) * {facts.seg_bytes}")
 
     def _emit_mem_inline(
         self, addr: str, it: str, on: str, n: str, nost: Optional[str] = None
@@ -783,9 +818,9 @@ class EmitLockstepLoop(_LoopEmitterBase):
         ``addr`` is a 1-D int64 byte-address expression, ``on`` the row
         mask, ``n`` its (positive) population count.  Reproduces the
         (n, 1) fast path bit for bit — per-row segment straddle
-        handling, transaction counts, the L2 reuse-window filter and
-        its EMA update, in the accountant's exact order — minus the
-        (n, 1) reshapes and argument validation the call needed.
+        handling, transaction counts, then the shared L2 update —
+        minus the (n, 1) reshapes and argument validation the call
+        needed.
 
         ``nost`` names a prelude flag that is True when this access
         group can never straddle a segment boundary (base is segment-
@@ -833,48 +868,218 @@ class EmitLockstepLoop(_LoopEmitterBase):
         w.dedent()
         if nost is not None:
             w.dedent()
-        w.line(f"stats.global_transactions += {nt}")
-        w.line(f"{fv}.sort()")
-        uq = w.fresh("u")
-        w.line(f"if len({fv}) > 1:")
-        w.indent()
-        kp = w.fresh("kp")
-        w.line(f"{kp} = np.empty(len({fv}), dtype=bool)")
-        w.line(f"{kp}[0] = True")
-        w.line(f"np.not_equal({fv}[1:], {fv}[:-1], out={kp}[1:])")
-        w.line(f"{uq} = {fv}[{kp}]")
+        self._emit_l2_inline(fv, nt)
+
+    def _emit_issue_terms(self, cn: str, wn: str) -> Optional[Tuple[str, str]]:
+        """The divergence terms WarpIssueAccountant.issue derives from a
+        (rows, ws) mask's per-row counts ``cn`` and issuing rows ``wn``:
+        the partial-warp count and the wasted-lane fraction, against the
+        per-step valid-lane counts ``vd``.  Identical for every issue
+        under the same mask, so a push group computes them once."""
+        ws = self.unit.facts.ws
+        if ws == 1:
+            return None  # (n, 1) masks take the warp-uniform path
+        w = self.w
+        pa = w.fresh("pa")
+        wf = w.fresh("wf")
+        w.line(f"{pa} = int(({wn} & ({cn} < vd)).sum())")
+        w.line(f"{wf} = float(np.maximum(vd - {cn}, 0)[{wn}].sum() / {ws})")
+        return pa, wf
+
+    def _emit_issue_add(
+        self, cost: str, ni: str, terms: Optional[Tuple[str, str]]
+    ) -> None:
+        """Accumulate one issue call's stats, in the accountant's order.
+
+        Callers guarantee at least one issuing warp (the emission sits
+        under a liveness guard), so the accountant's early-out cannot
+        fire."""
+        w = self.w
+        w.line(f"stats.warp_instructions += {cost} * {ni}")
+        if terms is not None:
+            pa, wf = terms
+            w.line(f"stats.divergent_instructions += {cost} * {pa}")
+            w.line(f"stats.wasted_lane_fraction += {cost} * {wf}")
+
+    def _emit_issue_lanes(self, cost: str, cn: str, wn: str, ni: str) -> None:
+        """Inline WarpIssueAccountant.issue for a (rows, ws) mask."""
+        self._emit_issue_add(cost, ni, self._emit_issue_terms(cn, wn))
+
+    # -- inlined rope stack ----------------------------------------------
+
+    def _stack_channel_locals(self):
+        pairs = [("node", "chn")]
+        if self.kind == "lockstep":
+            pairs.append(("mask", "chm"))
+        pairs += [(f"arg.{n}", f"cha_{n}") for n in self.variant_names]
+        return pairs
+
+    def _emit_stack_prelude(self) -> None:
+        w = self.w
+        facts = self.unit.facts
+        w.line("rows_ = stack._rows")
+        for cname, local in self._stack_channel_locals():
+            w.line(f"{local} = stack._channels[{cname!r}]")
+        if facts.account and facts.layout != "shared":
+            w.line("sids = stack.stack_ids")
+            w.line("seb = stack.entry_bytes")
+            w.line("sbase = stack.region.base")
+            if self.kind == "lockstep":
+                seg = facts.seg_bytes
+                w.line(f"nstk = sbase % {seg} == 0 and {seg} % seb == 0")
+            if facts.layout == "interleaved_global":
+                w.line("n_alloc = stack._n_stacks_alloc")
+                if self.kind == "autoropes":
+                    w.line("ssh = stack.segment_shift")
+                    w.line("sbe = stack.base_entry")
+                    w.line("sidb = sids + sbe")
+            else:
+                w.line("maxdepth = stack.max_depth")
+        if self.kind == "autoropes":
+            # flat offset of each row's entry 0: pops gather with take()
+            w.line("roff = rows_ * stack._capacity")
+
+    def _emit_stack_refresh(self, channels_only: bool = False) -> None:
+        w = self.w
+        facts = self.unit.facts
+        for cname, local in self._stack_channel_locals():
+            w.line(f"{local} = stack._channels[{cname!r}]")
+        if not channels_only:
+            w.line("rows_ = stack._rows")
+            if facts.account and facts.layout != "shared":
+                w.line("sids = stack.stack_ids")
+                if (
+                    self.kind == "autoropes"
+                    and facts.layout == "interleaved_global"
+                ):
+                    w.line("sidb = sids + sbe")
+        if self.kind == "autoropes":
+            w.line("roff = rows_ * stack._capacity")
+
+    def _emit_stack_account(
+        self,
+        mask: str,
+        depths: str,
+        n_expr: str,
+        guard: bool = False,
+        sel: Optional[Tuple[str, str]] = None,
+    ) -> None:
+        """Inline StackStorage._account for one push or pop.
+
+        ``mask`` marks the stacks touched at ``depths`` and ``n_expr``
+        counts them.  ``guard`` adds the accountant's n_active == 0
+        early-out (needed where the count is not already proven
+        nonzero: the memory model must not see an all-dead access — the
+        L2 window is stateful).  ``sel`` optionally names ``(ix, d)``:
+        the flat indices of ``mask`` and ``depths`` already gathered to
+        them (a push's ``sp[ix]``), so the structural path skips the
+        full-width arithmetic.
+
+        Lockstep stacks are per-warp (one lane per access group), so
+        their traffic takes the inlined (n, 1) path.  Autoropes stacks
+        are per-thread: on the interleaved layout, when the storage's
+        structural precondition holds (``ssh`` is not None), the touched
+        segments are one shift of the entry index and go straight to
+        the L2 update; otherwise the access goes through ``mem``.
+        """
+        w = self.w
+        facts = self.unit.facts
+        if not facts.account:
+            return
+        if guard:
+            w.line(f"if {n_expr}:")
+            w.indent()
+        w.line(f"stats.stack_ops += {n_expr}")
+        per_warp = self.kind == "lockstep"
+        if facts.layout == "interleaved_global":
+            idx = f"({depths} * n_alloc + sids)"
+        else:  # contiguous_global
+            idx = f"(sids * maxdepth + {depths})"
+        if facts.layout == "shared":
+            if per_warp:
+                # group mask == row mask when one stack forms a group
+                w.line(f"stats.shared_accesses += {n_expr}")
+            else:
+                w.line(
+                    f"stats.shared_accesses += "
+                    f"int({mask}.reshape(-1, ws).any(axis=1).sum())"
+                )
+        elif per_warp:
+            self._emit_mem_inline(
+                f"{idx} * seb + sbase", "seb", mask, n_expr, nost="nstk"
+            )
+        else:
+            generic = (
+                f"mem(({idx} * seb + sbase).reshape(-1, ws), seb, "
+                f"{mask}.reshape(-1, ws), step)"
+            )
+            if facts.layout == "interleaved_global":
+                w.line("if ssh is not None:")
+                w.indent()
+                fv = w.fresh("fv")
+                if sel is None:
+                    w.line(f"{fv} = ({depths} * n_alloc + sidb)[{mask}]")
+                else:
+                    ix, dg = sel
+                    w.line(f"{fv} = {dg} * n_alloc + sidb[{ix}]")
+                w.line(f"{fv} >>= ssh")
+                self._emit_l2_inline(fv, None)
+                w.dedent()
+                w.line("else:")
+                w.indent()
+                w.line(generic)
+                w.dedent()
+            else:
+                w.line(generic)
+        if guard:
+            w.dedent()
+
+    def _emit_finally(self) -> None:
+        w = self.w
         w.dedent()
-        w.line("else:")
+        w.line("finally:")
         w.indent()
-        w.line(f"{uq} = {fv}")
+        w.line("stats.steps += steps")
+        w.line("stats.node_visits += int(node_visits)")
+        w.line("stats.warp_node_visits += int(warp_node_visits)")
         w.dedent()
-        mx = w.fresh("mx")
-        w.line(f"{mx} = int({uq}[-1])")
-        w.line(f"if {mx} >= len(lt):")
-        w.indent()
-        w.line(f"M._ensure_capacity({mx})")
-        w.line("lt = M._last_touch")
-        w.dedent()
-        hs = w.fresh("hs")
-        w.line("if l2on:")
-        w.indent()
-        w.line(
-            f"{hs} = int((step - lt[{uq}] <= "
-            f"capl / max(1.0, M._ema_unique_per_step)).sum()) "
-            f"+ ({nt} - len({uq}))"
-        )
-        w.dedent()
-        w.line("else:")
-        w.indent()
-        w.line(f"{hs} = 0")
-        w.dedent()
-        w.line(f"lt[{uq}] = step")
-        w.line(
-            "M._ema_unique_per_step = 0.98 * M._ema_unique_per_step "
-            f"+ 0.02 * len({uq})"
-        )
-        w.line(f"stats.l2_hit_transactions += {hs}")
-        w.line(f"stats.dram_bytes += ({nt} - {hs}) * {facts.seg_bytes}")
+
+
+@register_pass
+class EmitLockstepLoop(_LoopEmitterBase):
+    """Emit the lockstep warp loop (the Fig. 8 execution shape).
+
+    Beyond straight-line specialization, this backend inlines the
+    per-step hot path of the simulator's accounting helpers — rope
+    stack push/pop with layout-specialized traffic charging, warp
+    issue accounting, field-load addressing, and flat-index
+    gather/scatter around the application callbacks — so one step
+    costs a handful of vectorized passes instead of dozens of small
+    helper calls.  Every inlined sequence reproduces the helper's
+    arithmetic exactly (same reductions, same accumulation order);
+    the differential suite holds the result to bit-identical stats.
+
+    Two defensive checks are specialized out when ``facts.validate``
+    is off (clean launches): the empty-pop guard and the popped-node
+    bounds validation.  Chaos-armed launches always validate, so the
+    safety net is identical where it can matter.
+    """
+
+    kind = "lockstep"
+
+    def _mask_col(self, var: str) -> str:
+        return f"{var}[:, None]"
+
+    def _addr_expr(self, group: str) -> str:
+        # Region.addresses inlined: base + index * itemsize.
+        return f"(({self._rb[group]} + safe_node * {self._it[group]})[:, None])"
+
+    def _row_of(self, fl: str) -> str:
+        """Row index of a flat lane index (shift when ws is 2**k)."""
+        ws = self.unit.facts.ws
+        if ws & (ws - 1) == 0:
+            return f"{fl} >> {ws.bit_length() - 1}"
+        return f"{fl} // {ws}"
 
     def _emit_single_run(
         self, run: List[ChargeSite], mask: str, cnt: Optional[str] = None
@@ -1001,93 +1206,6 @@ class EmitLockstepLoop(_LoopEmitterBase):
                     return True
         return False
 
-    def _emit_issue_lanes(self, lv: str, cost: str, cn: str, wn: str, ni: str) -> None:
-        """Inline WarpIssueAccountant.issue for a (rows, ws) mask.
-
-        Callers guarantee at least one issuing warp (the emission sits
-        under a liveness guard), so the accountant's early-out cannot
-        fire and the three stat accumulations run unconditionally in
-        the accountant's order."""
-        w = self.w
-        facts = self.unit.facts
-        w.line(f"stats.warp_instructions += {cost} * {ni}")
-        if facts.ws == 1:
-            return  # (n, 1) masks take the warp-uniform path: no divergence
-        vd = w.fresh("vd")
-        if facts.compact:
-            w.line(f"{vd} = vlanes if ids is None else vlanes[ids]")
-        else:
-            w.line(f"{vd} = vlanes")
-        pa = w.fresh("pa")
-        w.line(f"{pa} = int(({wn} & ({cn} < {vd})).sum())")
-        w.line(f"stats.divergent_instructions += {cost} * {pa}")
-        wf = w.fresh("wf")
-        w.line(f"{wf} = np.maximum({vd} - {cn}, 0)[{wn}].sum() / {facts.ws}")
-        w.line(f"stats.wasted_lane_fraction += {cost} * float({wf})")
-
-    def _stack_channel_locals(self):
-        pairs = [("node", "chn"), ("mask", "chm")]
-        pairs += [(f"arg.{n}", f"cha_{n}") for n in self.variant_names]
-        return pairs
-
-    def _emit_stack_prelude(self) -> None:
-        w = self.w
-        facts = self.unit.facts
-        w.line("rows_ = stack._rows")
-        for cname, local in self._stack_channel_locals():
-            w.line(f"{local} = stack._channels[{cname!r}]")
-        if facts.account and facts.layout != "shared":
-            w.line("sids = stack.stack_ids")
-            w.line("seb = stack.entry_bytes")
-            w.line("sbase = stack.region.base")
-            seg = facts.seg_bytes
-            w.line(f"nstk = sbase % {seg} == 0 and {seg} % seb == 0")
-            if facts.layout == "interleaved_global":
-                w.line("n_alloc = stack._n_stacks_alloc")
-            else:
-                w.line("maxdepth = stack.max_depth")
-
-    def _emit_stack_refresh(self, channels_only: bool = False) -> None:
-        w = self.w
-        facts = self.unit.facts
-        for cname, local in self._stack_channel_locals():
-            w.line(f"{local} = stack._channels[{cname!r}]")
-        if not channels_only:
-            w.line("rows_ = stack._rows")
-            if facts.account and facts.layout != "shared":
-                w.line("sids = stack.stack_ids")
-
-    def _emit_stack_account(
-        self, mask: str, depths: str, n_expr: str, guard: bool = False
-    ) -> None:
-        """Inline StackStorage._account for lanes_per_access == 1.
-
-        ``guard`` adds the accountant's n_active == 0 early-out (needed
-        where the count is not already proven nonzero: the memory model
-        must not see an all-dead access — the L2 window is stateful).
-        """
-        w = self.w
-        facts = self.unit.facts
-        if not facts.account:
-            return
-        if guard:
-            w.line(f"if {n_expr}:")
-            w.indent()
-        w.line(f"stats.stack_ops += {n_expr}")
-        if facts.layout == "shared":
-            # group mask == row mask when one stack forms a group
-            w.line(f"stats.shared_accesses += {n_expr}")
-        else:
-            if facts.layout == "interleaved_global":
-                idx = f"({depths} * n_alloc + sids)"
-            else:  # contiguous_global
-                idx = f"(sids * maxdepth + {depths})"
-            self._emit_mem_inline(
-                f"{idx} * seb + sbase", "seb", mask, n_expr, nost="nstk"
-            )
-        if guard:
-            w.dedent()
-
     # -- loop template -------------------------------------------------------
 
     def apply(self, unit: EmitUnit) -> None:
@@ -1104,35 +1222,20 @@ class EmitLockstepLoop(_LoopEmitterBase):
         self._nst = {g: f"nst{i}" for i, g in enumerate(self.groups)}
         for g in self.groups:
             rb, it = self._rb[g], self._it[g]
-            w.line(f"{rb} = {self._rg[g]}.base")
             w.line(f"{self._nst[g]} = {rb} % {seg} == 0 and {seg} % {it} == 0")
-        child_names: List[str] = []
-        for nd in _walk(unit.nodes):
-            if nd.kind == "push":
-                for call in nd.op.calls:
-                    if call.child not in child_names:
-                        child_names.append(call.child)
-        self._childarr = {c: f"ct{i}" for i, c in enumerate(child_names)}
-        for c in child_names:
-            w.line(
-                f"{self._childarr[c]} = np.asarray("
-                f"tree.children[{c!r}], dtype=np.int64)"
-            )
         w.line("pt_grid = ex.pt_grid")
         w.line("ptf = pt_grid.ravel()")
         w.line("real = ex.real")
         w.line("inv = ex._invariant_vals")
         w.line("warp_len = ex._warp_len")
         w.line("lane_useful = ex._lane_useful")
-        w.line("vlanes = L.issue.valid_lanes")
-        w.line("M = L.memory")
-        w.line("lt = M._last_touch")
-        w.line("l2on = M.l2_enabled")
-        w.line("capl = M._capacity_lines")
         self._emit_stack_prelude()
         if facts.compact:
             w.line("compacted = ex._compacted")
             w.line("ids = ex._warp_ids if compacted else None")
+            w.line("vd = vlanes if ids is None else vlanes[ids]")
+        else:
+            w.line("vd = vlanes")
         w.line("try:")
         w.indent()
         w.line("while True:")
@@ -1169,6 +1272,7 @@ class EmitLockstepLoop(_LoopEmitterBase):
             w.line("inv = ex._invariant_vals")
             w.line("compacted = True")
             w.line("ids = ex._warp_ids")
+            w.line("vd = vlanes[ids]")
             self._emit_stack_refresh()
             w.dedent()
         # -- pop, inlined (one entry off every non-empty stack) --
@@ -1340,7 +1444,7 @@ class EmitLockstepLoop(_LoopEmitterBase):
         )
         if n.strategy == "uniform":
             self._emit_charges(n, wn, ni)
-            self._emit_issue_lanes(lv, cost, cn, wn, ni)
+            self._emit_issue_lanes(cost, cn, wn, ni)
             tk = w.fresh("tk")
             w.line(f"{tk} = np.zeros({lv}.shape[0], dtype=bool)")
             wi = w.fresh("i")
@@ -1370,7 +1474,7 @@ class EmitLockstepLoop(_LoopEmitterBase):
         else:
             if n.charges:
                 self._emit_charges(n, wn, ni)
-            self._emit_issue_lanes(lv, cost, cn, wn, ni)
+            self._emit_issue_lanes(cost, cn, wn, ni)
             cv = self._emit_eval_lanes(fn, lv, cn)
             if n.strategy == "predicate":
                 tl = cv
@@ -1432,7 +1536,7 @@ class EmitLockstepLoop(_LoopEmitterBase):
         cn, wn, ni = self._emit_mask_stats(lv)
         if n.charges:
             self._emit_charges(n, wn, ni)
-        self._emit_issue_lanes(lv, cost, cn, wn, ni)
+        self._emit_issue_lanes(cost, cn, wn, ni)
         fl = w.fresh("fi")
         w.line(f"{fl} = np.flatnonzero({lv})")
         w.line(f"if len({fl}):")
@@ -1554,7 +1658,18 @@ class EmitLockstepLoop(_LoopEmitterBase):
 
 @register_pass
 class EmitAutoropesLoop(_LoopEmitterBase):
-    """Emit the per-thread autoropes loop (the Fig. 6/7 shape)."""
+    """Emit the per-thread autoropes loop (the Fig. 6/7 shape).
+
+    Like the lockstep backend, this one inlines the per-step hot path:
+    the rope-stack pop and every push with their traffic accounting
+    (on the interleaved layout, the storage's structural segment path
+    whenever its precondition holds), per-lane issue accounting, child
+    lookups from arrays bound in the prelude, and the per-point visit
+    count.  Each mask's per-warp row counts are reduced once and reused
+    by every op under that mask — a push group's issue calls share
+    their divergence terms — while each stat still accumulates one
+    call at a time, in the interpreter's order.
+    """
 
     kind = "autoropes"
 
@@ -1562,21 +1677,44 @@ class EmitAutoropesLoop(_LoopEmitterBase):
         return f"{var}.reshape(-1, ws)"
 
     def _addr_expr(self, group: str) -> str:
-        return f"{self._rg[group]}.addresses(safe_node).reshape(-1, ws)"
+        # Region.addresses inlined: base + index * itemsize.
+        return (
+            f"({self._rb[group]} + safe_node * {self._it[group]})"
+            ".reshape(-1, ws)"
+        )
 
     def apply(self, unit: EmitUnit) -> None:
         self._setup(unit)
+        self._mstats: Dict[str, tuple] = {}
+        self._derive: Dict[str, tuple] = {}
+        #: lane-count variables of masks whose count is in scope
+        self._mcount: Dict[str, str] = {}
+        #: issue divergence terms per row-count variable
+        self._terms: Dict[str, tuple] = {}
         w = self.w
         facts = unit.facts
+        WS = facts.ws
         self._emit_prelude_common()
         w.line("pt = ex.pt")
         w.line("inv = ex._invariant_args")
         w.line("vpp = ex._visits_per_point")
         w.line("wls = ex._warp_live_steps")
+        self._emit_stack_prelude()
+        if facts.compact:
+            w.line("ids = ex._warp_ids if ex._compacted else None")
+            w.line("vd = vlanes if ids is None else vlanes[ids]")
+        else:
+            w.line("vd = vlanes")
         w.line("try:")
         w.indent()
-        w.line("while stack.any_nonempty():")
+        w.line("while True:")
         w.indent()
+        w.line("sp = stack.sp")
+        w.line("live = sp > 0")
+        w.line("if not live.any():")
+        w.indent()
+        w.line("break")
+        w.dedent()
         w.line("step += 1")
         w.line("ex._step = step")
         w.line("steps += 1")
@@ -1584,44 +1722,70 @@ class EmitAutoropesLoop(_LoopEmitterBase):
             w.line("stats.steps += steps")
             w.line("steps = 0")
             w.line("L.guard(step, stack)")
+            w.line("sp = stack.sp")
+            w.line("live = sp > 0")
+        # the live warps' stats also drive the compaction trigger
+        cn, wn, ni = self._emit_mask_stats("live")
         if facts.compact:
-            w.line("grps = stack.n_stacks // ws")
-            w.line(f"if grps >= {MIN_COMPACT_WARPS}:")
+            w.line(f"grps = len(sp) // {WS}")
+            w.line(
+                f"if grps >= {MIN_COMPACT_WARPS} "
+                f"and {ni} < grps * threshold:"
+            )
             w.indent()
-            w.line("gl = (stack.sp > 0).reshape(-1, ws).any(axis=1)")
-            w.line("if int(gl.sum()) < grps * threshold:")
-            w.indent()
-            w.line("ex._compact_groups(np.nonzero(gl)[0])")
+            w.line(f"ex._compact_groups({wn}.nonzero()[0])")
             w.line("pt = ex.pt")
             w.line("inv = ex._invariant_args")
+            w.line("ids = ex._warp_ids")
+            w.line("vd = vlanes[ids]")
+            self._emit_stack_refresh()
+            w.line("sp = stack.sp")
+            w.line("live = sp > 0")
+            w.line(f"{cn} = live.reshape(-1, ws).sum(axis=1)")
+            w.line(f"{wn} = {cn} > 0")
+            w.line(f"{ni} = int({wn}.sum())")
             w.dedent()
+        # -- pop, inlined (one entry off every non-empty stack) --
+        if facts.validate:
+            w.line("if np.any(live & (sp == 0)):")
+            w.indent()
+            w.line("raise IndexError('pop from empty rope stack')")
             w.dedent()
-        w.line("live = stack.nonempty()")
-        w.line("popped = stack_pop(live, step)")
-        w.line('node = popped["node"]')
+        # live is exactly sp > 0, so where(live, sp - 1, sp) is a
+        # clamped decrement and the popped row is new_sp itself.
+        w.line("new_sp = np.maximum(sp - 1, 0)")
+        w.line("ri = roff + new_sp")
+        w.line("node = chn.take(ri)")
+        for name in self.variant_names:
+            w.line(f"a_{name} = cha_{name}.take(ri)")
+        nl = w.fresh("nl")
+        w.line(f"{nl} = int({cn}.sum())")
+        self._emit_stack_account("live", "new_sp", nl)
+        w.line("stack.sp = new_sp")
+        w.line("sp = new_sp")
         if facts.validate:
             w.line("validate_popped_nodes(node, live, n_nodes, step)")
-        for name in self.variant_names:
-            w.line(f'a_{name} = popped["arg.{name}"]')
         for name in self.invariant_names:
             w.line(f"a_{name} = inv[{name!r}]")
         w.line("useful = live & (node >= 0)")
         w.line("n_useful = useful.sum()")
         w.line("node_visits += n_useful")
-        w.line("warp_live = live.reshape(-1, ws).any(axis=1)")
-        w.line("warp_node_visits += warp_live.sum()")
+        # the popping warps are exactly the rows with a live lane
+        w.line(f"warp_node_visits += {ni}")
         if facts.compact:
-            w.line("if ex._compacted:")
+            w.line("if ids is None:")
             w.indent()
-            w.line("wls[ex._warp_ids] += warp_live")
+            w.line(f"wls += {wn}")
             w.dedent()
             w.line("else:")
             w.indent()
-            w.line("wls += warp_live")
+            w.line(f"wls[ids] += {wn}")
             w.dedent()
         else:
-            w.line("wls += warp_live")
-        w.line("np.add.at(vpp, pt[useful], 1)")
+            w.line(f"wls += {wn}")
+        # a step's point ids are distinct (one point per thread), so a
+        # fancy-index increment counts each exactly once.
+        w.line("vpp[pt[useful]] += 1")
         if facts.visit_log:
             w.line("vl = np.nonzero(useful)[0]")
             w.line("vlog.append((pt[vl].copy(), node[vl].copy()))")
@@ -1629,19 +1793,110 @@ class EmitAutoropesLoop(_LoopEmitterBase):
             w.line("prof.sync(stats)")
             w.line("prof.note_depth(node, useful)")
         self._emit_charge_inits()
-        if facts.compact:
-            w.line("ids = ex._warp_ids if ex._compacted else None")
         if facts.trace:
             w.line("tb = stats.global_transactions")
+        self._mcount["live"] = nl
         self._emit_seq(unit.nodes, "live")
         if facts.trace:
             w.line(
-                "trace.record(int(warp_live.sum()), int(n_useful), "
+                f"trace.record({ni}, int(n_useful), "
                 "stats.global_transactions - tb)"
             )
         w.dedent()  # while
         self._emit_finally()
         unit.source = w.source()
+
+    # -- mask statistics ---------------------------------------------------
+
+    def _emit_mask_stats(self, lv: str):
+        """Per-warp lane counts, issuing warps and their count for ``lv``.
+
+        Reduced once per mask and shared by the charge, issue and push
+        emission of every op under it.  An else-arm mask, whose then-arm
+        sibling's counts are already in scope, is the parent's counts
+        minus the sibling's (the arms partition the parent's lanes), so
+        it needs no new ``(rows, ws)`` reduction.
+        """
+        st = self._mstats.get(lv)
+        if st is not None:
+            return st
+        w = self.w
+        cn = w.fresh("cn")
+        wn = w.fresh("wn")
+        ni = w.fresh("ni")
+        d = self._derive.pop(lv, None)
+        if d is not None:
+            w.line(f"{cn} = {d[0]} - {d[1]}")
+        else:
+            w.line(f"{cn} = {lv}.reshape(-1, ws).sum(axis=1)")
+        w.line(f"{wn} = {cn} > 0")
+        w.line(f"{ni} = int({wn}.sum())")
+        st = (cn, wn, ni)
+        self._mstats[lv] = st
+        return st
+
+    def _emit_seq(self, nodes: List[ONode], lv: str):
+        """Guarded op sequence over ``lv``, guarding on its cached count.
+
+        The entry stats are reduced before the guard opens, so they stay
+        in scope after it; stats reduced inside the guard are dropped on
+        exit.  A condition rebinds its mask (``lv = tl | el``), so the
+        ops after it re-reduce and re-guard.  Returns the entry stats.
+        """
+        if not nodes:
+            return None
+        w = self.w
+        entry = self._emit_mask_stats(lv)
+        terms_before = dict(self._terms)
+        w.line(f"if {entry[2]}:")
+        w.indent()
+        opened = 1
+        rebound = False
+        for i, n in enumerate(nodes):
+            if i > 0 and nodes[i - 1].kind == "cond":
+                st = self._emit_mask_stats(lv)
+                w.line(f"if {st[2]}:")
+                w.indent()
+                opened += 1
+            self._emit_node(n, lv)
+            rebound = rebound or n.kind in ("cond", "continue")
+        for _ in range(opened):
+            w.dedent()
+        # terms emitted inside the guard are out of scope past it
+        self._terms = terms_before
+        if rebound:
+            self._forget(lv)
+        else:
+            self._mstats[lv] = entry
+        return entry
+
+    def _forget(self, lv: str) -> None:
+        """``lv`` was rebound: its cached stats no longer describe it."""
+        self._mstats.pop(lv, None)
+        self._mcount.pop(lv, None)
+
+    def _emit_node(self, n: ONode, lv: str) -> None:
+        if n.kind == "continue":
+            self.w.line(f"{lv} = np.zeros_like({lv})")
+            self._forget(lv)
+            return
+        super()._emit_node(n, lv)
+
+    def _issue_terms(self, cn: str, wn: str):
+        """Issue divergence terms for a mask's stats, emitted once per
+        sequence: ops under the same mask issue identical terms."""
+        if cn not in self._terms:
+            self._terms[cn] = self._emit_issue_terms(cn, wn)
+        return self._terms[cn]
+
+    def _emit_op_charges(self, n: ONode, lv: str, cn: str) -> None:
+        if not n.charges:
+            return
+        nl = self._mcount.get(lv)
+        if nl is None:
+            nl = self.w.fresh("nl")
+            self.w.line(f"{nl} = int({cn}.sum())")
+        self._emit_charges(n, lv, nl)
 
     # -- ops -----------------------------------------------------------------
 
@@ -1649,34 +1904,50 @@ class EmitAutoropesLoop(_LoopEmitterBase):
         w = self.w
         op = n.op
         fn = self._bind("C", op.fn)
-        self._emit_charges(n, lv)
-        w.line(f"issue({lv}.reshape(-1, ws), {float(op.cost)!r}{self.ids_kw})")
+        cn, wn, ni = self._emit_mask_stats(lv)
+        self._emit_op_charges(n, lv, cn)
+        cost = repr(float(op.cost))
+        self._emit_issue_add(cost, ni, self._issue_terms(cn, wn))
         ix = w.fresh("i")
-        w.line(f"{ix} = np.nonzero({lv})[0]")
+        w.line(f"{ix} = {lv}.nonzero()[0]")
         r = w.fresh("r")
         w.line(
             f"{r} = {fn}(ctx, node[{ix}], pt[{ix}], {self._sub(f'[{ix}]')})"
         )
-        cv = w.fresh("c")
-        w.line(f"{cv} = np.zeros_like({lv})")
-        w.line(f"{cv}[{ix}] = np.asarray({r}, dtype=bool)")
-        self._emit_prof(n)
         tl = w.fresh("tl")
         el = w.fresh("el")
-        w.line(f"{tl} = {lv} & {cv}")
-        w.line(f"{el} = {lv} & ~{cv}")
-        self._emit_seq(n.then or [], tl)
+        # tl = lv & cond, el = lv & ~cond, with cond scattered to lv's
+        # lanes: tl holds the results there, el the rest of lv.
+        w.line(f"{tl} = np.zeros_like({lv})")
+        w.line(f"{tl}[{ix}] = np.asarray({r}, dtype=bool)")
+        w.line(f"{el} = {lv} ^ {tl}")
+        self._emit_prof(n)
+        then_nodes = n.then or []
+        if len(then_nodes) == 1 and then_nodes[0].kind == "continue":
+            # A lone Continue arm only zeroes its mask, so the merge
+            # tl | el is el itself: skip the arm.
+            tstats = None
+        else:
+            tstats = self._emit_seq(then_nodes, tl)
         if n.orelse is not None:
+            if tstats is not None:
+                self._derive[el] = (cn, tstats[0])
             self._emit_seq(n.orelse, el)
-        w.line(f"{lv} = {tl} | {el}")
+        if tstats is None and then_nodes:
+            w.line(f"{lv} = {el}")
+        else:
+            w.line(f"{lv} = {tl} | {el}")
+        self._forget(lv)
 
     def _emit_update(self, n: ONode, lv: str) -> None:
         w = self.w
         op = n.op
-        self._emit_charges(n, lv)
-        w.line(f"issue({lv}.reshape(-1, ws), {float(op.cost)!r}{self.ids_kw})")
+        cn, wn, ni = self._emit_mask_stats(lv)
+        self._emit_op_charges(n, lv, cn)
+        cost = repr(float(op.cost))
+        self._emit_issue_add(cost, ni, self._issue_terms(cn, wn))
         ix = w.fresh("i")
-        w.line(f"{ix} = np.nonzero({lv})[0]")
+        w.line(f"{ix} = {lv}.nonzero()[0]")
         ufn = self._bind("U", op.fn)
         w.line(
             f"{ufn}(ctx, node[{ix}], pt[{ix}], {self._sub(f'[{ix}]')})"
@@ -1686,13 +1957,14 @@ class EmitAutoropesLoop(_LoopEmitterBase):
     def _emit_push(self, n: ONode, lv: str) -> None:
         w = self.w
         op = n.op
-        self._emit_charges(n, lv)
+        cn, wn, ni = self._emit_mask_stats(lv)
+        self._emit_op_charges(n, lv, cn)
         new_full: Dict[str, str] = {}
         cur_sub: Dict[str, str] = {}
         ix = None
         if op.needs_rules:
             ix = w.fresh("i")
-            w.line(f"{ix} = np.nonzero({lv})[0]")
+            w.line(f"{ix} = {lv}.nonzero()[0]")
             for name in self.arg_names:
                 sv = w.fresh("s")
                 w.line(f"{sv} = a_{name}[{ix}]")
@@ -1721,41 +1993,77 @@ class EmitAutoropesLoop(_LoopEmitterBase):
         else:
             for r in op.variant_rules:
                 new_full[r.name] = f"a_{r.name}"
-        lw = w.fresh("lw")
-        w.line(f"{lw} = {lv}.reshape(-1, ws)")
-        for call in op.calls:
-            ch = w.fresh("ch")
-            w.line(f"{ch} = tree.child({call.child!r}, node)")
-            push_map = dict(new_full)
-            for r in call.overrides or ():
-                rb = self._bind("R", r.rule)
-                db = self._bind("D", r.dtype)
-                cur_dict = (
-                    "{"
-                    + ", ".join(f"'{k}': {v}" for k, v in cur_sub.items())
-                    + "}"
+        # every call issues under the same mask: one set of terms
+        terms = self._issue_terms(cn, wn)
+        self._ensure_safe_node()
+        nn = w.fresh("nn")
+        w.line(f"{nn} = node >= 0")
+        if len(op.calls) > 1 and not any(c.overrides for c in op.calls):
+            # Calls that differ only in the child array run as one
+            # loop body, in push order: the same accounting sequence,
+            # a fraction of the source (and of its compile peak).
+            ct = w.fresh("ct")
+            arrs = ", ".join(self._childarr[c.child] for c in op.calls)
+            w.line(f"for {ct} in ({arrs}):")
+            w.indent()
+            self._emit_push_call(ct, nn, new_full, lv, ni, terms, op)
+            w.dedent()
+        else:
+            for call in op.calls:
+                push_map = dict(new_full)
+                for r in call.overrides or ():
+                    rb = self._bind("R", r.rule)
+                    db = self._bind("D", r.dtype)
+                    cur_dict = (
+                        "{"
+                        + ", ".join(f"'{k}': {v}" for k, v in cur_sub.items())
+                        + "}"
+                    )
+                    vv = w.fresh("v")
+                    w.line(
+                        f"{vv} = np.asarray({rb}(ctx, node[{ix}], "
+                        f"pt[{ix}], {cur_dict})).astype({db}, copy=False)"
+                    )
+                    ff = w.fresh("f")
+                    w.line(f"{ff} = np.empty_like({new_full[r.name]})")
+                    w.line(f"{ff}[{ix}] = {vv}")
+                    push_map[r.name] = ff
+                self._emit_push_call(
+                    self._childarr[call.child], nn, push_map, lv, ni, terms, op
                 )
-                vv = w.fresh("v")
-                w.line(
-                    f"{vv} = np.asarray({rb}(ctx, node[{ix}], "
-                    f"pt[{ix}], {cur_dict})).astype({db}, copy=False)"
-                )
-                ff = w.fresh("f")
-                w.line(f"{ff} = np.empty_like({new_full[r.name]})")
-                w.line(f"{ff}[{ix}] = {vv}")
-                push_map[r.name] = ff
-            pm = w.fresh("p")
-            if op.visits_null:
-                w.line(f"{pm} = {lv}")
-            else:
-                w.line(f"{pm} = {lv} & ({ch} >= 0)")
-            w.line(f"issue({lw}, 1.0{self.ids_kw})")
-            payload = ", ".join(
-                [f"'node': {ch}"]
-                + [f"'arg.{k}': {v}" for k, v in push_map.items()]
-            )
-            w.line(f"stack_push({pm}, step, **{{{payload}}})")
         self._emit_prof(n)
+
+    def _emit_push_call(self, ct, nn, push_map, lv, ni, terms, op) -> None:
+        """One child push: lookup, issue, and ``stack.push`` inlined."""
+        w = self.w
+        ch = w.fresh("ch")
+        w.line(f"{ch} = np.where({nn}, {ct}[safe_node], -1)")
+        pm = w.fresh("p")
+        if op.visits_null:
+            w.line(f"{pm} = {lv}")
+        else:
+            w.line(f"{pm} = {lv} & ({ch} >= 0)")
+        self._emit_issue_add("1.0", ni, terms)
+        px = w.fresh("px")
+        w.line(f"{px} = {pm}.nonzero()[0]")
+        w.line(f"if len({px}):")
+        w.indent()
+        dp = w.fresh("dp")
+        dm = w.fresh("dm")
+        w.line(f"{dp} = sp[{px}]")
+        w.line(f"{dm} = int({dp}.max()) + 1")
+        w.line(f"if {dm} > stack._capacity:")
+        w.indent()
+        w.line(f"stack._grow({dm})")
+        self._emit_stack_refresh(channels_only=True)
+        w.dedent()
+        w.line(f"chn[{px}, {dp}] = {ch}[{px}]")
+        for name in self.variant_names:
+            w.line(f"cha_{name}[{px}, {dp}] = {push_map[name]}[{px}]")
+        self._emit_stack_account(pm, "sp", f"len({px})", sel=(px, dp))
+        w.line(f"sp[{px}] = {dp} + 1")
+        w.line(f"stack.high_water = max(stack.high_water, {dm})")
+        w.dedent()
 
 
 # -- figure renderers and the scalar backend ---------------------------------

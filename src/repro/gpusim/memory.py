@@ -15,6 +15,16 @@ L2 capacity in lines. This is a deterministic stand-in for LRU that
 preserves the effect the evaluation depends on: small, shared working
 sets (lockstep warps marching down the same nodes) hit; scattered
 non-lockstep accesses miss.
+
+Two entry points share that L2 update. :meth:`GlobalMemory.warp_access`
+is the general coalescing pass: it masks, sorts and compares every
+access group's lane segments. :meth:`GlobalMemory.segment_access` takes
+the segments of an access whose layout already fixes the answer — no
+lane straddles a segment and no two access groups share one, so the
+transactions are exactly the distinct segments. The interleaved rope
+stack (:mod:`repro.gpusim.stack`) uses it when its region and entry
+size meet that precondition; both paths produce the same counts and the
+same L2 state.
 """
 
 from __future__ import annotations
@@ -186,7 +196,6 @@ class GlobalMemory:
             n_trans = int(np.count_nonzero(on)) + n_straddle
             if n_trans == 0:
                 return 0
-            self.stats.global_transactions += n_trans
             if n_straddle:
                 flat = np.concatenate([lo[on], hi[straddle]])
             else:
@@ -212,9 +221,34 @@ class GlobalMemory:
             if n_trans == 0:
                 return 0
 
-            self.stats.global_transactions += n_trans
             flat = masked[masked < _SENTINEL]
 
+        self._touch(flat, n_trans, step)
+        return n_trans
+
+    def segment_access(self, segments: np.ndarray, step: int) -> int:
+        """Account an access whose transactions are its distinct segments.
+
+        ``segments`` is the 1-D int64 segment index of every active lane
+        (sorted in place).  The caller guarantees that no lane straddles
+        a segment and that no two access groups share a segment, so one
+        transaction per distinct segment is exactly what
+        :meth:`warp_access` would count.  Returns that count.
+        """
+        if len(segments) == 0:
+            return 0
+        return self._touch(segments, None, step)
+
+    def _touch(
+        self, flat: np.ndarray, n_trans: Optional[int], step: int
+    ) -> int:
+        """Charge ``n_trans`` transactions over the segments in ``flat``.
+
+        ``flat`` holds one entry per (access group, segment) pair and is
+        sorted in place; ``n_trans`` of ``None`` means one transaction per
+        distinct segment.  Runs the L2 reuse-window filter, then updates
+        the last-touch clock and the unique-segments EMA.
+        """
         # L2: device-wide reuse-window filter over distinct segments.
         # Sort-based dedup instead of np.unique: same values, but it
         # skips unique's dispatch/reshape overhead, which at millions
@@ -227,6 +261,9 @@ class GlobalMemory:
             unique_segs = flat[keep]
         else:
             unique_segs = flat
+        if n_trans is None:
+            n_trans = len(unique_segs)
+        self.stats.global_transactions += n_trans
         self._ensure_capacity(int(unique_segs[-1]))
         if self.l2_enabled:
             window = self._l2_window()
@@ -245,5 +282,5 @@ class GlobalMemory:
         )
 
         self.stats.l2_hit_transactions += hits
-        self.stats.dram_bytes += (n_trans - hits) * seg_size
+        self.stats.dram_bytes += (n_trans - hits) * self.device.segment_bytes
         return n_trans

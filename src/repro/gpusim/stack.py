@@ -11,6 +11,22 @@ A strided contiguous-per-thread layout is kept as an ablation baseline.
 node indices, traversal-variant arguments, lockstep masks) and accounts
 the simulated memory traffic each push/pop generates under the chosen
 layout.
+
+Interleaved stacks have a structural accounting path.  Entry (stack
+``s``, depth ``d``) sits at ``base + (d * n_alloc + s) * entry_bytes``,
+so when the region base is segment-aligned, ``entry_bytes`` is a power
+of two that divides the segment, and one access group's row of entries
+(``lanes_per_access * entry_bytes``) is a whole number of segments, an
+active lane's segment is ``(d * n_alloc + s + base / entry_bytes) >>
+log2(segment / entry_bytes)``.  No entry straddles a segment and no two
+access groups share one, so a push or pop costs exactly its distinct
+segments: one 1-D shift plus the L2 update of
+:meth:`~repro.gpusim.memory.GlobalMemory.segment_access`, instead of
+the general coalescing pass.  :meth:`StructuralSegments.can_be_applied`
+checks that precondition once, when the storage is built; the
+contiguous layout, odd entry sizes and narrow warps keep the general
+:meth:`~repro.gpusim.memory.GlobalMemory.warp_access` path, and the
+shared layout keeps its own shared-access count.
 """
 
 from __future__ import annotations
@@ -80,6 +96,40 @@ def lockstep_stack_layout(
     if est_depth * entry_bytes <= budget_bytes:
         return RopeStackLayout.SHARED
     return RopeStackLayout.INTERLEAVED_GLOBAL
+
+
+class StructuralSegments:
+    """The interleaved layout's structural accounting precondition.
+
+    A guard in the declared-transformation style: :meth:`can_be_applied`
+    decides once, from the layout and the region geometry, whether a
+    push or pop's transactions are exactly its distinct segments.
+    """
+
+    @staticmethod
+    def can_be_applied(
+        layout: RopeStackLayout,
+        base: int,
+        entry_bytes: int,
+        lanes_per_access: int,
+        segment_bytes: int,
+    ) -> bool:
+        if layout is not RopeStackLayout.INTERLEAVED_GLOBAL:
+            return False
+        # A power-of-two segment makes segment / entry_bytes one too.
+        if segment_bytes <= 0 or segment_bytes & (segment_bytes - 1):
+            return False
+        # The region starts on a segment boundary.
+        if base % segment_bytes:
+            return False
+        # Entries tile the segment: none straddles a boundary.
+        if entry_bytes <= 0 or entry_bytes & (entry_bytes - 1):
+            return False
+        if segment_bytes % entry_bytes:
+            return False
+        # One access group's row at one depth is whole segments, so no
+        # two groups (or depths) share a segment.
+        return (lanes_per_access * entry_bytes) % segment_bytes == 0
 
 
 class StackStorage:
@@ -160,6 +210,23 @@ class StackStorage:
             if allocator is None:
                 raise ValueError("global stack layouts need an allocator")
             self.region = allocator.alloc(name, entry_bytes, n_stacks * max_depth)
+        #: log2 of the entries per segment on the structural accounting
+        #: path (``entry_idx >> shift`` is the entry's segment offset),
+        #: or ``None`` when pushes and pops take the general
+        #: ``warp_access`` path (see :class:`StructuralSegments`).
+        self.segment_shift: Optional[int] = None
+        #: the region base in entries (segment-aligned on that path).
+        self.base_entry = 0
+        seg = device.segment_bytes
+        if (
+            memory is not None
+            and self.region is not None
+            and StructuralSegments.can_be_applied(
+                layout, self.region.base, entry_bytes, lanes_per_access, seg
+            )
+        ):
+            self.segment_shift = (seg // entry_bytes).bit_length() - 1
+            self.base_entry = self.region.base // entry_bytes
 
     # -- capacity -------------------------------------------------------
 
@@ -216,6 +283,13 @@ class StackStorage:
             return
         if self.memory is None:
             return
+        if self.segment_shift is not None:
+            entry = depths * self._n_stacks_alloc + self.stack_ids
+            segs = entry[active]
+            segs += self.base_entry
+            segs >>= self.segment_shift
+            self.memory.segment_access(segs, step)
+            return
         addrs = self._entry_addresses(self.stack_ids, depths).reshape(
             groups, self.lanes_per_access
         )
@@ -263,7 +337,8 @@ class StackStorage:
                 out[cname] = arr[:, 0].copy()
             return out
         new_sp = np.where(active, self.sp - 1, self.sp)
-        top = np.maximum(new_sp, 0)
+        # An inactive full stack keeps sp == capacity: clamp its read.
+        top = np.minimum(np.maximum(new_sp, 0), self._capacity - 1)
         rows = self._rows
         for cname, arr in self._channels.items():
             out[cname] = arr[rows, top]  # fancy indexing already copies

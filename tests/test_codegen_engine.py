@@ -23,8 +23,22 @@ from repro.core.passes import (
     PASS_REGISTRY,
     EmitPass,
     Property,
+    emit_step_loop_source,
     facts_for,
     step_loop_for,
+)
+from repro.apps.base import QuerySet
+from repro.core.ir import (
+    ChildRef,
+    CondRef,
+    EvalContext,
+    If,
+    Recurse,
+    Return,
+    Seq,
+    TraversalSpec,
+    Update,
+    UpdateRef,
 )
 from repro.core.plancache import PlanCache
 from repro.gpusim.executors import (
@@ -114,6 +128,65 @@ class TestCodegenEquivalence:
             app, compiled_apps[name].lockstep, LockstepExecutor, device32
         )
         _assert_identical(f"codegen/lockstep32/{name}", pi, pg)
+
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_autoropes_warp32(self, name, all_apps, compiled_apps, device32):
+        """32-lane warps put the interleaved stack on its structural
+        segment path in both engines."""
+        app = all_apps[name]
+        pi, pg = _run_pair(
+            app, compiled_apps[name].autoropes, AutoropesExecutor, device32
+        )
+        _assert_identical(f"codegen/autoropes32/{name}", pi, pg)
+
+    @pytest.mark.parametrize("warp", (4, 32))
+    def test_autoropes_site_overrides_identical(self, warp, pc_app,
+                                                pipeline, device4, device32):
+        """An in-order body normalizes to pushes with per-site argument
+        overrides, which the autoropes loop emits call by call."""
+        tree = pc_app.tree
+
+        def truncate(ctx, node, pt, args):
+            return (node * 7 + pt * 3) % 5 == 0
+
+        def record(ctx, node, pt, args):
+            np.add.at(ctx.out["order"], pt, node + 1)
+            ctx.out["order"][pt] *= 3
+
+        spec = TraversalSpec(
+            name="inorder",
+            body=Seq(
+                If(CondRef("truncate"), Return()),
+                Recurse(ChildRef("left")),
+                Update(UpdateRef("rec")),
+                Recurse(ChildRef("right")),
+            ),
+            conditions={"truncate": truncate},
+            updates={"rec": record},
+        )
+        kernel = pipeline.compile(spec).autoropes
+        n_pts = 48
+        device = device4 if warp == 4 else device32
+        runs = []
+        for engine in ("interp", "codegen"):
+            ctx = EvalContext(
+                tree=tree,
+                points=QuerySet(
+                    coords=np.zeros((n_pts, 1)), orig_ids=np.arange(n_pts)
+                ),
+                out={"order": np.zeros(n_pts, dtype=np.int64)},
+            )
+            L = TraversalLaunch(
+                kernel=kernel, tree=tree, ctx=ctx, n_points=n_pts,
+                device=device, record_visits=True, engine=engine,
+            )
+            runs.append((L, AutoropesExecutor(L).run()))
+        unit = passes.build_emit_unit(kernel, passes.facts_for(
+            AutoropesExecutor(_launch(pc_app, kernel, device, "codegen")),
+            "autoropes"))
+        pushes = [n for n in passes._walk(unit.nodes) if n.kind == "push"]
+        assert any(c.overrides for n in pushes for c in n.op.calls)
+        _assert_identical(f"codegen/inorder{warp}", *runs)
 
     @pytest.mark.parametrize("name", ("pc", "bh"))
     def test_compaction_invisible(self, name, all_apps, compiled_apps,
@@ -267,6 +340,20 @@ class TestCodegenEmission:
         assert fn.__facts__ == facts_for(ex, "lockstep")
         assert "EmitLockstepLoop" in fn.__passes__
         assert fn.__emit_ms__ >= 0.0
+
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_autoropes_loop_inlines_its_hot_path(self, name, all_apps,
+                                                 compiled_apps, device32):
+        """On the paper's device with interleaved stacks, the emitted
+        autoropes loop calls no stack, issue or child-lookup helper."""
+        ex = AutoropesExecutor(
+            _launch(all_apps[name], compiled_apps[name].autoropes, device32,
+                    "codegen"))
+        assert ex.stack.segment_shift is not None
+        src = emit_step_loop_source(ex.kernel, facts_for(ex, "autoropes"))
+        assert "def step_loop(" in src
+        for call in ("stack_push(", "stack_pop(", "issue(", "tree.child("):
+            assert call not in src, f"{name}: emitted loop calls {call}"
 
     def test_dump_sink_receives_source(self, pc_app, compiled_apps, device4,
                                        monkeypatch):

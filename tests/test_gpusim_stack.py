@@ -62,6 +62,16 @@ class TestLifoSemantics:
         out = st.pop(st.nonempty(), 2)
         np.testing.assert_array_equal(out["node"][mask], np.arange(8)[mask])
 
+    def test_pop_skips_a_full_inactive_stack(self, device):
+        # initial_depth=2: two pushes fill every stack to capacity
+        st, _ = make_stack(device)
+        st.push(all_on(8), 1, node=np.full(8, 10))
+        st.push(all_on(8), 2, node=np.arange(8))
+        mask = np.array([True, False] * 4)
+        out = st.pop(mask, 3)
+        np.testing.assert_array_equal(out["node"][mask], np.arange(8)[mask])
+        np.testing.assert_array_equal(st.sp, np.where(mask, 1, 2))
+
     def test_pop_empty_raises(self, device):
         st, _ = make_stack(device)
         with pytest.raises(IndexError, match="empty"):
