@@ -18,15 +18,32 @@ import numpy as np
 from repro.apps.base import QuerySet, TraversalApp, chunked_sq_dists, sq_dist_rows
 from repro.core.annotations import Annotation
 from repro.core.ir import (
+    Body,
     ChildRef,
     CondRef,
     If,
+    LeafSlots,
+    Let,
+    Max,
+    NodeField,
+    NodeRow,
+    OutField,
+    QueryCoord,
+    QueryId,
+    QueryRow,
     Recurse,
     Return,
     Seq,
+    SlotField,
+    SlotRow,
+    SqNorm,
+    TopKInsert,
     TraversalSpec,
     Update,
     UpdateRef,
+    Var,
+    clip,
+    ne,
 )
 from repro.trees.kdtree import build_kdtree_buckets
 from repro.trees.linearize import linearize_left_biased
@@ -83,6 +100,39 @@ def _make_update_knn(bucket_coords: np.ndarray, bucket_ids: np.ndarray, leaf_siz
     return update_knn
 
 
+def _declared_bodies(
+    bucket_coords: np.ndarray, bucket_ids: np.ndarray, leaf_size: int
+) -> Dict[str, Body]:
+    """The callbacks above as declared bodies (what the per-point
+    traversal inlines)."""
+    dim = bucket_coords.shape[1]
+    q = QueryRow()
+    worst = OutField("knn_dist", col=-1)
+    near = SqNorm(q - clip(q, NodeRow("bbox_min"), NodeRow("bbox_max")))
+    split = NodeField("split_dim", int)
+    d, cand = Var("d"), SlotField("ids", int)
+    scan = LeafSlots(
+        "leaf_start",
+        "leaf_count",
+        leaf_size,
+        {"coords": bucket_coords, "ids": bucket_ids},
+        (
+            Let("d", SqNorm(q - SlotRow("coords"))),
+            TopKInsert(
+                "knn_dist", "knn_id", d, cand, when=(d < worst) & ne(cand, QueryId())
+            ),
+        ),
+    )
+    return {
+        "cannot_contain_better": Body(near >= worst, dim),
+        "is_leaf": Body(NodeField("is_leaf", bool), dim),
+        "closer_to_left": Body(
+            QueryCoord(Max(split, 0)) < NodeField("split_val"), dim
+        ),
+        "update_knn": Body((scan,), dim),
+    }
+
+
 def build_knn_app(
     data: np.ndarray,
     order: np.ndarray,
@@ -129,6 +179,7 @@ def build_knn_app(
         },
         updates={"update_knn": _make_update_knn(bucket_coords, bucket_ids, leaf_size)},
         annotations=frozenset({Annotation.CALLSETS_EQUIVALENT}),
+        bodies=_declared_bodies(bucket_coords, bucket_ids, leaf_size),
     )
 
     n = len(order)

@@ -20,15 +20,28 @@ import numpy as np
 from repro.apps.base import QuerySet, TraversalApp, chunked_sq_dists, sq_dist_rows
 from repro.core.annotations import Annotation
 from repro.core.ir import (
+    Body,
     ChildRef,
     CondRef,
     If,
+    Let,
+    NodeField,
+    NodeRow,
+    OutField,
+    QueryCoord,
+    QueryId,
+    QueryRow,
     Recurse,
     Return,
     Seq,
+    SqNorm,
+    Store,
     TraversalSpec,
     Update,
     UpdateRef,
+    Var,
+    clip,
+    ne,
 )
 from repro.trees.kdtree import build_kdtree_points
 from repro.trees.node import FieldGroup, RawTree
@@ -88,6 +101,29 @@ def _update_node_point(ctx, node, pt, args):
     ctx.out["nn_id"][rows] = cand_id[better]
 
 
+def _declared_bodies(dim: int) -> Dict[str, Body]:
+    """The callbacks above as declared bodies (what the per-point
+    traversal inlines)."""
+    q = QueryRow()
+    best = OutField("nn_dist")
+    near = SqNorm(q - clip(q, NodeRow("bbox_min"), NodeRow("bbox_max")))
+    split = NodeField("split_dim", int)
+    d, cand = Var("d"), NodeField("point_id", int)
+    return {
+        "cannot_contain_better": Body(near >= best, dim),
+        "closer_to_left": Body(
+            QueryCoord(split) < NodeField("point", col=split), dim
+        ),
+        "update_node_point": Body(
+            (
+                Let("d", SqNorm(q - NodeRow("point"))),
+                Store((d < best) & ne(cand, QueryId()), nn_dist=d, nn_id=cand),
+            ),
+            dim,
+        ),
+    }
+
+
 def build_nn_app(
     data: np.ndarray,
     order: np.ndarray,
@@ -119,6 +155,7 @@ def build_nn_app(
         },
         updates={"update_node_point": _update_node_point},
         annotations=frozenset({Annotation.CALLSETS_EQUIVALENT}),
+        bodies=_declared_bodies(dim),
     )
 
     n = len(order)

@@ -16,15 +16,28 @@ import numpy as np
 
 from repro.apps.base import QuerySet, TraversalApp, chunked_sq_dists
 from repro.core.ir import (
+    AddTo,
+    Body,
     ChildRef,
     CondRef,
     If,
+    LeafSlots,
+    NodeField,
+    NodeRow,
+    Param,
+    QueryId,
+    QueryRow,
     Recurse,
     Return,
     Seq,
+    SlotField,
+    SlotRow,
+    SqNorm,
     TraversalSpec,
     Update,
     UpdateRef,
+    clip,
+    ne,
 )
 from repro.trees.kdtree import build_kdtree_buckets
 from repro.trees.linearize import linearize_left_biased
@@ -49,6 +62,31 @@ def _bbox_cannot_intersect(ctx, node, pt, args):
 
 def _is_leaf(ctx, node, pt, args):
     return ctx.tree.arrays["is_leaf"][node]
+
+
+def _declared_bodies(
+    bucket_coords: np.ndarray, bucket_ids: np.ndarray, leaf_size: int
+) -> Dict[str, Body]:
+    """The callbacks above as declared bodies (what the per-point
+    traversal inlines)."""
+    dim = bucket_coords.shape[1]
+    q = QueryRow()
+    near = SqNorm(q - clip(q, NodeRow("bbox_min"), NodeRow("bbox_max")))
+    hit = (SqNorm(SlotRow("coords") - q) <= Param("radius_sq")) & ne(
+        SlotField("ids", int), QueryId()
+    )
+    scan = LeafSlots(
+        "leaf_start",
+        "leaf_count",
+        leaf_size,
+        {"coords": bucket_coords, "ids": bucket_ids},
+        (AddTo("count", 1, when=hit),),
+    )
+    return {
+        "cannot_correlate": Body(near > Param("radius_sq"), dim),
+        "is_leaf": Body(NodeField("is_leaf", bool), dim),
+        "count_bucket": Body((scan,), dim),
+    }
 
 
 def _make_count_bucket(bucket_coords: np.ndarray, bucket_ids: np.ndarray, leaf_size: int):
@@ -122,6 +160,7 @@ def build_pointcorr_app(
         updates={
             "count_bucket": _make_count_bucket(bucket_coords, bucket_ids, leaf_size)
         },
+        bodies=_declared_bodies(bucket_coords, bucket_ids, leaf_size),
     )
 
     params = {"radius_sq": float(radius) ** 2}

@@ -22,15 +22,30 @@ import numpy as np
 from repro.apps.base import QuerySet, TraversalApp, chunked_sq_dists, sq_dist_rows
 from repro.core.annotations import Annotation
 from repro.core.ir import (
+    Body,
     ChildRef,
     CondRef,
     If,
+    LeafSlots,
+    Let,
+    NodeField,
+    NodeRow,
+    OutField,
+    QueryId,
+    QueryRow,
     Recurse,
     Return,
     Seq,
+    SlotField,
+    SlotRow,
+    SqNorm,
+    Sqrt,
+    Store,
     TraversalSpec,
     Update,
     UpdateRef,
+    Var,
+    ne,
 )
 from repro.trees.vptree import VPTreeBuild, build_vptree
 from repro.trees.linearize import linearize_left_biased
@@ -111,6 +126,44 @@ def _make_scan_bucket(bucket_coords: np.ndarray, bucket_ids: np.ndarray, leaf_si
     return scan_bucket
 
 
+def _declared_bodies(
+    bucket_coords: np.ndarray, bucket_ids: np.ndarray, leaf_size: int
+) -> Dict[str, Body]:
+    """The callbacks above as declared bodies (what the per-point
+    traversal inlines)."""
+    dim = bucket_coords.shape[1]
+    q = QueryRow()
+    best = OutField("nn_dist")
+    d = Var("d")
+    vantage_d = Sqrt(SqNorm(q - NodeRow("vantage")))
+    vantage, slot = NodeField("vantage_id", int), SlotField("ids", int)
+    scan = LeafSlots(
+        "leaf_start",
+        "leaf_count",
+        leaf_size,
+        {"coords": bucket_coords, "ids": bucket_ids},
+        (
+            Let("d", Sqrt(SqNorm(q - SlotRow("coords")))),
+            Store((d < best) & ne(slot, QueryId()), nn_dist=d, nn_id=slot),
+        ),
+    )
+    return {
+        "cannot_contain_better": Body(
+            Sqrt(SqNorm(q - NodeRow("center"))) - NodeField("radius") >= best, dim
+        ),
+        "is_leaf": Body(NodeField("is_leaf", bool), dim),
+        "closer_inside": Body(vantage_d < NodeField("tau"), dim),
+        "consider_vantage": Body(
+            (
+                Let("d", vantage_d),
+                Store((d < best) & ne(vantage, QueryId()), nn_dist=d, nn_id=vantage),
+            ),
+            dim,
+        ),
+        "scan_bucket": Body((scan,), dim),
+    }
+
+
 def build_vptree_app(
     data: np.ndarray,
     order: np.ndarray,
@@ -160,6 +213,7 @@ def build_vptree_app(
             "scan_bucket": _make_scan_bucket(bucket_coords, bucket_ids, leaf_size),
         },
         annotations=frozenset({Annotation.CALLSETS_EQUIVALENT}),
+        bodies=_declared_bodies(bucket_coords, bucket_ids, leaf_size),
     )
 
     n = len(order)

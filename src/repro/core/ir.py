@@ -31,12 +31,30 @@ where ``node`` and ``pt`` are equal-length int64 index arrays, ``args``
 is a dict of per-pair traversal-argument value arrays, and ``ctx`` is an
 :class:`EvalContext` giving access to the tree, the point set, result
 arrays, and scalar parameters.
+
+Declared bodies
+---------------
+
+A spec may also declare what a callback computes, per callback name,
+in a small expression language (:class:`Body`, see "Declared bodies"
+below).  The transformations never read it; a backend may lower it in
+place of the call (the per-point Python traversal does).  The callable
+stays the reference every engine can fall back to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -244,6 +262,472 @@ def for_each_child(*names: str) -> Seq:
 
 
 # ---------------------------------------------------------------------------
+# Declared bodies
+# ---------------------------------------------------------------------------
+#
+# What the pc, knn, nn and vp callbacks compute, as data: reads of the
+# node's fields, a leaf bucket's slots, the query point, ``ctx.params``
+# and the query's ``ctx.out`` entries; + - *, sqrt, clip/min/max and
+# comparisons; one squared-norm reduction; conditional stores and adds;
+# a bounded loop over a leaf bucket's slots; and knn's stable top-k
+# insert.  A value
+# is a scalar or a *row* of ``Body.dim`` elements (a point's
+# coordinates); arithmetic, min and max apply elementwise and broadcast
+# a scalar over a row.  Each operation means what its NumPy counterpart
+# does on a callback's length-1 arrays, bit for bit, so a backend that
+# lowers a body must reproduce NumPy's operation order (see
+# ``repro.core.passes.sq_norm_expr`` for the reduction's).
+
+#: element kinds of a declared value: float64, int64 and bool.
+KINDS = {float: "f", int: "i", bool: "b"}
+
+
+class Expr:
+    """A value in a declared body."""
+
+    #: ``"f"`` (float64), ``"i"`` (int64) or ``"b"`` (bool).
+    kind = "f"
+    #: whether the value is a row of ``Body.dim`` elements.
+    row = False
+
+    def operands(self) -> Tuple["Expr", ...]:
+        return ()
+
+    def walk(self) -> Iterator["Expr"]:
+        """Pre-order traversal of the expression tree."""
+        yield self
+        for op in self.operands():
+            yield from op.walk()
+
+    def __add__(self, other):
+        return BinOp("+", self, lift(other))
+
+    def __sub__(self, other):
+        return BinOp("-", self, lift(other))
+
+    def __mul__(self, other):
+        return BinOp("*", self, lift(other))
+
+    def __lt__(self, other):
+        return Compare("<", self, lift(other))
+
+    def __le__(self, other):
+        return Compare("<=", self, lift(other))
+
+    def __gt__(self, other):
+        return Compare(">", self, lift(other))
+
+    def __ge__(self, other):
+        return Compare(">=", self, lift(other))
+
+    def __and__(self, other):
+        return And(self, lift(other))
+
+
+def lift(value) -> Expr:
+    """``value`` as an expression (a Python int or float becomes a
+    :class:`Const`)."""
+    if isinstance(value, Expr):
+        return value
+    if type(value) in (int, float):
+        return Const(value)
+    raise TypeError(f"cannot lift {type(value).__name__} into a declared body")
+
+
+@dataclass(frozen=True, eq=False)
+class Const(Expr):
+    """A number literal (an int is int64, a float float64)."""
+
+    value: Union[int, float]
+
+    @property
+    def kind(self) -> str:
+        return "f" if isinstance(self.value, float) else "i"
+
+
+@dataclass(frozen=True, eq=False)
+class Param(Expr):
+    """``ctx.params[name]``, read as a float once per walk."""
+
+    name: str
+
+
+@dataclass(frozen=True, eq=False)
+class NodeField(Expr):
+    """``tree.arrays[name][node]`` of a 1-D field of ``dtype``; with
+    ``col``, the element ``tree.arrays[name][node, col]`` of an
+    ``(n, dim)`` field, where ``col`` may be computed (a split test's
+    dimension)."""
+
+    name: str
+    dtype: type = float
+    col: Optional[Expr] = None
+
+    def __post_init__(self) -> None:
+        if self.col is not None:
+            object.__setattr__(self, "col", lift(self.col))
+
+    @property
+    def kind(self) -> str:
+        return KINDS[self.dtype]
+
+    def operands(self) -> Tuple[Expr, ...]:
+        return () if self.col is None else (self.col,)
+
+
+@dataclass(frozen=True, eq=False)
+class NodeRow(Expr):
+    """The node's row ``tree.arrays[name][node]`` of an ``(n, dim)``
+    float field."""
+
+    name: str
+    row = True
+
+
+@dataclass(frozen=True, eq=False)
+class QueryRow(Expr):
+    """The query point's coordinates, ``ctx.points.coords[pt]``."""
+
+    row = True
+
+
+@dataclass(frozen=True, eq=False)
+class QueryCoord(Expr):
+    """One coordinate ``ctx.points.coords[pt, col]``; ``col`` may be
+    computed."""
+
+    col: Expr
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "col", lift(self.col))
+
+    def operands(self) -> Tuple[Expr, ...]:
+        return (self.col,)
+
+
+@dataclass(frozen=True, eq=False)
+class QueryId(Expr):
+    """The query's dataset id, ``ctx.points.orig_ids[pt]``."""
+
+    kind = "i"
+
+
+@dataclass(frozen=True, eq=False)
+class OutField(Expr):
+    """The query's entry ``ctx.out[name][pt]`` of a 1-D result array,
+    or with ``col`` (a literal, negative counts from the end) the
+    element ``ctx.out[name][pt, col]`` of a 2-D one."""
+
+    name: str
+    dtype: type = float
+    col: Optional[int] = None
+
+    @property
+    def kind(self) -> str:
+        return KINDS[self.dtype]
+
+
+@dataclass(frozen=True, eq=False)
+class SlotField(Expr):
+    """The current slot's entry of a 1-D bucket array of ``dtype``
+    (inside :class:`LeafSlots` only)."""
+
+    name: str
+    dtype: type = float
+
+    @property
+    def kind(self) -> str:
+        return KINDS[self.dtype]
+
+
+@dataclass(frozen=True, eq=False)
+class SlotRow(Expr):
+    """The current slot's row of an ``(m, dim)`` float bucket array
+    (inside :class:`LeafSlots` only)."""
+
+    name: str
+    row = True
+
+
+@dataclass(frozen=True, eq=False)
+class Var(Expr):
+    """A scalar bound by an earlier :class:`Let` of the same update."""
+
+    name: str
+    kind: str = "f"
+
+
+@dataclass(frozen=True, eq=False)
+class BinOp(Expr):
+    """``a + b``, ``a - b`` or ``a * b``, elementwise over rows."""
+
+    op: str
+    a: Expr
+    b: Expr
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", lift(self.a))
+        object.__setattr__(self, "b", lift(self.b))
+        if self.op not in ("+", "-", "*"):
+            raise ValueError(f"unknown arithmetic operator {self.op!r}")
+        if "b" in (self.a.kind, self.b.kind):
+            raise TypeError("arithmetic on a boolean value")
+
+    @property
+    def kind(self) -> str:
+        return "f" if "f" in (self.a.kind, self.b.kind) else "i"
+
+    @property
+    def row(self) -> bool:
+        return self.a.row or self.b.row
+
+    def operands(self) -> Tuple[Expr, ...]:
+        return (self.a, self.b)
+
+
+@dataclass(frozen=True, eq=False)
+class _Extremum(Expr):
+    a: Expr
+    b: Expr
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", lift(self.a))
+        object.__setattr__(self, "b", lift(self.b))
+
+    @property
+    def kind(self) -> str:
+        return "f" if "f" in (self.a.kind, self.b.kind) else "i"
+
+    @property
+    def row(self) -> bool:
+        return self.a.row or self.b.row
+
+    def operands(self) -> Tuple[Expr, ...]:
+        return (self.a, self.b)
+
+
+class Max(_Extremum):
+    """``np.maximum(a, b)``: a NaN in either operand wins."""
+
+
+class Min(_Extremum):
+    """``np.minimum(a, b)``: a NaN in either operand wins."""
+
+
+def clip(x: Expr, lo: Expr, hi: Expr) -> Expr:
+    """``np.clip(x, lo, hi)``, which NumPy evaluates as
+    ``minimum(maximum(x, lo), hi)``."""
+    return Min(Max(x, lo), hi)
+
+
+@dataclass(frozen=True, eq=False)
+class SqNorm(Expr):
+    """The squared norm of a row, ``np.einsum("ij,ij->i", x, x)`` of
+    one row, in NumPy's summation order."""
+
+    x: Expr
+
+    def __post_init__(self) -> None:
+        if not self.x.row or self.x.kind != "f":
+            raise TypeError("SqNorm reduces a float row")
+
+    def operands(self) -> Tuple[Expr, ...]:
+        return (self.x,)
+
+
+@dataclass(frozen=True, eq=False)
+class Sqrt(Expr):
+    """``np.sqrt`` of a squared norm (never negative, so the scalar
+    ``math.sqrt`` agrees with it bit for bit)."""
+
+    x: Expr
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.x, SqNorm):
+            raise TypeError("Sqrt takes a SqNorm")
+
+    def operands(self) -> Tuple[Expr, ...]:
+        return (self.x,)
+
+
+@dataclass(frozen=True, eq=False)
+class Compare(Expr):
+    """A scalar comparison; ``op`` is one of ``< <= > >= == !=``."""
+
+    op: str
+    a: Expr
+    b: Expr
+    kind = "b"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", lift(self.a))
+        object.__setattr__(self, "b", lift(self.b))
+        if self.op not in ("<", "<=", ">", ">=", "==", "!="):
+            raise ValueError(f"unknown comparison {self.op!r}")
+        if self.a.row or self.b.row:
+            raise TypeError("comparisons take scalars")
+
+    def operands(self) -> Tuple[Expr, ...]:
+        return (self.a, self.b)
+
+
+def ne(a, b) -> Compare:
+    """``a != b`` (``!=`` itself keeps Python's identity meaning)."""
+    return Compare("!=", a, b)
+
+
+@dataclass(frozen=True, eq=False)
+class And(Expr):
+    """``a & b & ...`` of boolean scalars."""
+
+    terms: Tuple[Expr, ...]
+    kind = "b"
+
+    def __init__(self, *terms: Expr) -> None:
+        flat = []
+        for t in terms:
+            flat.extend(t.terms if isinstance(t, And) else (t,))
+        if any(t.kind != "b" or t.row for t in flat):
+            raise TypeError("And takes boolean scalars")
+        object.__setattr__(self, "terms", tuple(flat))
+
+    def operands(self) -> Tuple[Expr, ...]:
+        return self.terms
+
+
+class BodyStmt:
+    """A statement of a declared update body."""
+
+    def exprs(self) -> Tuple[Expr, ...]:
+        return ()
+
+    def walk(self) -> Iterator["BodyStmt"]:
+        yield self
+
+
+@dataclass(frozen=True, eq=False)
+class Let(BodyStmt):
+    """Bind ``value`` to :class:`Var` ``name`` for later statements."""
+
+    name: str
+    value: Expr
+
+    def exprs(self) -> Tuple[Expr, ...]:
+        return (self.value,)
+
+
+@dataclass(frozen=True, eq=False)
+class Store(BodyStmt):
+    """When ``when`` holds, ``ctx.out[name][pt] = value`` for each
+    write in order, every value read before the first write (a
+    callback's masked stores)."""
+
+    when: Expr
+    writes: Tuple[Tuple[str, Expr], ...]
+
+    def __init__(self, when: Expr, **writes: Expr) -> None:
+        object.__setattr__(self, "when", when)
+        object.__setattr__(
+            self, "writes", tuple((k, lift(v)) for k, v in writes.items())
+        )
+
+    def exprs(self) -> Tuple[Expr, ...]:
+        return (self.when,) + tuple(v for _, v in self.writes)
+
+
+@dataclass(frozen=True, eq=False)
+class AddTo(BodyStmt):
+    """When ``when`` holds, ``ctx.out[name][pt] += value``."""
+
+    name: str
+    value: Expr
+    when: Expr
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", lift(self.value))
+
+    def exprs(self) -> Tuple[Expr, ...]:
+        return (self.value, self.when)
+
+
+@dataclass(frozen=True, eq=False)
+class TopKInsert(BodyStmt):
+    """knn's insert: when ``when`` holds, put ``value`` and ``ident``
+    in the last column of the query's rows of ``ctx.out[dist]`` and
+    ``ctx.out[ids]``, then reorder both rows by NumPy's stable argsort
+    of the distances."""
+
+    dist: str
+    ids: str
+    value: Expr
+    ident: Expr
+    when: Expr
+
+    def exprs(self) -> Tuple[Expr, ...]:
+        return (self.value, self.ident, self.when)
+
+
+@dataclass(frozen=True, eq=False)
+class LeafSlots(BodyStmt):
+    """Run ``body`` for each valid slot of the node's leaf bucket, in
+    slot order: bucket rows ``start .. start + min(count, bound) - 1``,
+    where ``start`` and ``count`` name the node's int fields and
+    ``bucket`` holds the arrays :class:`SlotField`/:class:`SlotRow`
+    read.  Only valid slots are read; the callables' padding and
+    clamping exist to keep their masked reads of invalid slots in
+    range, and agree with this on every tree whose leaf ranges lie
+    inside the bucket (all the builders make)."""
+
+    start: str
+    count: str
+    bound: int
+    bucket: Mapping[str, np.ndarray]
+    body: Tuple[BodyStmt, ...]
+
+    def walk(self) -> Iterator[BodyStmt]:
+        yield self
+        for s in self.body:
+            yield from s.walk()
+
+
+@dataclass(frozen=True, eq=False)
+class Body:
+    """A callback's declared body.
+
+    ``code`` is a boolean scalar :class:`Expr` for a condition and a
+    tuple of :class:`BodyStmt` for an update; rows hold ``dim``
+    elements.
+    """
+
+    code: Union[Expr, Tuple[BodyStmt, ...]]
+    dim: int = 0
+
+    def __post_init__(self) -> None:
+        if isinstance(self.code, Expr):
+            if self.code.kind != "b" or self.code.row:
+                raise TypeError("a condition body is a boolean scalar")
+        else:
+            code = tuple(self.code)
+            if not all(isinstance(s, BodyStmt) for s in code):
+                raise TypeError("an update body is a tuple of statements")
+            object.__setattr__(self, "code", code)
+
+    @property
+    def is_condition(self) -> bool:
+        return isinstance(self.code, Expr)
+
+    def exprs(self) -> Iterator[Expr]:
+        """Every expression node, loop bodies included, in pre-order."""
+        if self.is_condition:
+            yield from self.code.walk()
+            return
+        for stmt in self.code:
+            for s in stmt.walk():
+                for root in s.exprs():
+                    yield from root.walk()
+
+
+# ---------------------------------------------------------------------------
 # Evaluation context and specs
 # ---------------------------------------------------------------------------
 
@@ -290,6 +774,10 @@ class TraversalSpec:
     #: phantom entries whose only job is to pay the parent's pending
     #: update before a null-guard truncates them.
     visits_null_children: bool = False
+    #: Declared bodies, by condition or update name: what the bound
+    #: callable computes, for backends that inline it.  Optional per
+    #: callback; the callable stays bound either way.
+    bodies: Mapping[str, Body] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.body = number_call_sites(self.body)
@@ -306,6 +794,15 @@ class TraversalSpec:
         for arg in self.args:
             if arg.update is not None and arg.update not in self.arg_rules:
                 raise KeyError(f"unbound arg rule {arg.update!r} for {arg.name!r}")
+        for name, decl in self.bodies.items():
+            if name in self.conditions:
+                if not decl.is_condition:
+                    raise TypeError(f"condition {name!r} declares an update body")
+            elif name in self.updates:
+                if decl.is_condition:
+                    raise TypeError(f"update {name!r} declares a condition body")
+            else:
+                raise KeyError(f"declared body {name!r} has no bound callback")
         seen = set()
         for site in recurse_sites(self.body):
             if site.site_id in seen:

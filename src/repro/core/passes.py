@@ -50,9 +50,10 @@ across the loop-facts axes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +68,40 @@ from repro.core.compile import (
     TAG_UPDATE,
     program_for,
 )
-from repro.core.ir import If, Recurse, Return, Seq, Stmt, TraversalSpec, Update
+from repro.core.ir import (
+    AddTo,
+    And,
+    BinOp,
+    BodyStmt,
+    Compare,
+    Const,
+    Expr,
+    If,
+    LeafSlots,
+    Let,
+    Max,
+    Min,
+    NodeField,
+    NodeRow,
+    OutField,
+    Param,
+    QueryCoord,
+    QueryId,
+    QueryRow,
+    Recurse,
+    Return,
+    Seq,
+    SlotField,
+    SlotRow,
+    SqNorm,
+    Sqrt,
+    Stmt,
+    Store,
+    TopKInsert,
+    TraversalSpec,
+    Update,
+    Var,
+)
 
 _INDENT = "    "
 
@@ -2225,8 +2259,6 @@ def {name}(ctx, tree, pt, root, max_visits=10_000_000):
     """
     visits = []
     visit = visits.append
-    rows = _node_rows(tree.n_nodes)
-    pa = _readonly1(pt)
 '''
 
 #: node-id table behind the scalar traversal's node arrays: row ``i``
@@ -2256,16 +2288,538 @@ def _readonly1(value) -> np.ndarray:
     return arr
 
 
+# -- declared bodies as scalar Python ----------------------------------------
+#
+# EmitScalarPython inlines a spec's declared bodies (repro.core.ir.Body)
+# as plain float arithmetic over flat memoryviews of the walk's arrays:
+# indexing a view yields a Python float, int or bool, so a visit makes
+# no NumPy call.  The views are built once per walk from its ``tree``
+# and ``ctx`` arguments, without copying; a walk whose arrays do not
+# have the declared dtypes and shapes runs the call path instead.
+
+
+def sq_norm_expr(elems: Sequence[str]) -> str:
+    """Python source for the sum of squares of ``elems`` (names), in
+    the order ``np.einsum("ij,ij->i", x, x)`` adds them for one row on
+    an x86-64 host without FMA.
+
+    That is not left to right: einsum keeps two lanes, one over the
+    even and one over the odd elements, each adding whole blocks of
+    eight in reverse and the rest in order, and returns lane 0 plus
+    lane 1.  :func:`einsum_order_holds` checks this against the host's
+    NumPy before any lowering relies on it.
+    """
+    n = len(elems)
+    lanes = []
+    for lane in (0, 1):
+        order, i = [], 0
+        while n - i >= 8:
+            order += [elems[i + 2 * k + lane] for k in (3, 2, 1, 0)]
+            i += 8
+        order += elems[i + lane : n : 2]
+        lanes.append(" + ".join(f"{e} * {e}" for e in order))
+    return f"{lanes[0]} + ({lanes[1]})" if lanes[1] else lanes[0]
+
+
+_EINSUM_ORDER: Dict[int, bool] = {}
+
+
+def einsum_order_holds(n: int) -> bool:
+    """Whether :func:`sq_norm_expr` reproduces this host's
+    ``np.einsum("ij,ij->i")`` bit for bit on one-row arrays of ``n``
+    elements, over 256 seeded rows whose magnitudes span eight decades
+    (where other summation orders differ on a large share of rows).
+    Checked once per ``n``; emission keeps a spec on the call path
+    when it fails."""
+    ok = _EINSUM_ORDER.get(n)
+    if ok is None:
+        names = [f"x{j}" for j in range(n)]
+        reduce = eval(f"lambda {', '.join(names)}: {sq_norm_expr(names)}")
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((256, n)) * 10.0 ** rng.integers(-4, 5, (256, n))
+        ok = all(
+            np.einsum("ij,ij->i", x, x)[0] == reduce(*x[0].tolist())
+            for x in (row[None].copy() for row in rows)
+        )
+        _EINSUM_ORDER[n] = ok
+    return ok
+
+
+#: dtype of each declared element kind, and the view format reading it.
+_KIND_DTYPE = {
+    "f": np.dtype(np.float64),
+    "i": np.dtype(np.int64),
+    "b": np.dtype(np.bool_),
+}
+_KIND_FORMAT = {"f": "d", "i": "q", "b": "?"}
+
+
+class _NoView(Exception):
+    """An array is not what a declared body reads."""
+
+
+#: what a walk's prologue raises when its arrays are not as declared
+#: (missing, of another type, dtype or shape, or ``pt`` out of range);
+#: the walk then runs the call path, which reproduces the callables'
+#: behaviour exactly, errors included.
+_NO_VIEW = (_NoView, LookupError, AttributeError, TypeError, ValueError)
+
+
+def _flat(arr, kind: str, width: int = 0, writable: bool = False) -> memoryview:
+    """A flat zero-copy view of ``arr``'s elements: ``arr`` must be a
+    C-contiguous ndarray of ``kind``, 1-D (``width`` 0), ``(n, width)``
+    or, for ``width`` -1, any 2-D shape."""
+    if (
+        type(arr) is not np.ndarray
+        or arr.dtype != _KIND_DTYPE[kind]
+        or not arr.flags.c_contiguous
+        or (writable and not arr.flags.writeable)
+        or arr.ndim != (1 if width == 0 else 2)
+        or (width > 0 and arr.shape[1] != width)
+    ):
+        raise _NoView
+    return memoryview(arr).cast("B").cast(_KIND_FORMAT[kind])
+
+
+def _grid(arr, kind: str, width: int) -> memoryview:
+    """A 2-D zero-copy view of an ``(n, width)`` array, indexed
+    ``view[i, j]`` with NumPy's wrap of negative indices."""
+    return _flat(arr, kind, width).cast("B").cast(_KIND_FORMAT[kind], arr.shape)
+
+
+def _cell(arr, pt: int, col: Optional[int] = None) -> int:
+    """The flat index of ``arr[pt]`` (1-D) or ``arr[pt, col]`` (2-D),
+    negative indices wrapping as in NumPy."""
+    if col is None:
+        return range(len(arr))[pt]
+    n, m = arr.shape
+    return range(n)[pt] * m + range(m)[col]
+
+
+def _row(dist, ids, pt: int) -> Tuple[int, int]:
+    """Flat base index and length of row ``pt`` of two equal-shape
+    2-D arrays."""
+    if dist.shape != ids.shape:
+        raise _NoView
+    return _cell(dist, pt, 0), dist.shape[1]
+
+
+def _query_row(coords, pt: int, dim: int) -> List[float]:
+    """``coords[pt]`` as Python floats, for a float64 ``(n, dim)``
+    array."""
+    if (
+        type(coords) is not np.ndarray
+        or coords.dtype != _KIND_DTYPE["f"]
+        or coords.shape[1:] != (dim,)
+    ):
+        raise _NoView
+    return coords[pt].tolist()
+
+
+def _query_id(ids, pt: int) -> int:
+    return _flat(ids, "i")[_cell(ids, pt)]
+
+
+def _topk_insert(dist, ids, base: int, k: int, value: float, ident: int) -> None:
+    """knn's insert on flat views: put ``(value, ident)`` last in the
+    ``k``-long rows at ``base``, then reorder both rows as NumPy's
+    stable argsort of the distances does (NaNs last)."""
+    end = base + k
+    dist[end - 1] = value
+    ids[end - 1] = ident
+    ds = dist[base:end].tolist()
+    js = ids[base:end].tolist()
+    order = sorted(range(k), key=lambda j: (ds[j] != ds[j], ds[j]))
+    for j, src in enumerate(order):
+        dist[base + j] = ds[src]
+        ids[base + j] = js[src]
+
+
+class _Unlowerable(Exception):
+    """A declared body this lowering does not cover (it keeps the call
+    path)."""
+
+
+def _ident(text: str) -> str:
+    return "".join(c if c.isalnum() else "_" for c in text)
+
+
+class _ScalarBodies:
+    """Lowers a spec's declared bodies for :class:`EmitScalarPython`.
+
+    :meth:`lower` writes one body's statements into the walk's loop;
+    every array, query value and parameter the lowered bodies read
+    becomes one line of the walk's prologue (:meth:`emit_prologue`),
+    built once per walk.
+    """
+
+    def __init__(self, spec: TraversalSpec, ns: Dict[str, object]) -> None:
+        self.spec = spec
+        self.ns = ns
+        #: prologue assignments, in first-use order: target -> source.
+        self.prologue: Dict[str, str] = {}
+        #: element kind and width of every view, by local name.
+        self.views: Dict[str, Tuple[str, int]] = {}
+
+    @classmethod
+    def for_spec(cls, spec: TraversalSpec, ns) -> Optional["_ScalarBodies"]:
+        """The lowering of ``spec``'s bodies, or ``None`` when it has
+        none or the host's einsum order is not the one lowered."""
+        if not spec.bodies:
+            return None
+        dims = {
+            body.dim
+            for body in spec.bodies.values()
+            if any(isinstance(e, SqNorm) for e in body.exprs())
+        }
+        if not all(einsum_order_holds(d) for d in sorted(dims)):
+            return None
+        return cls(spec, ns)
+
+    # -- entry points ----------------------------------------------------
+
+    def lower(self, name: str, condition: bool, w: SourceWriter) -> Optional[str]:
+        """Write the declared body of callback ``name`` into ``w``.
+
+        Returns a condition's test, ``""`` for an update, or ``None``
+        (nothing written) when the callback keeps the call path: no
+        body of that kind is declared, or it does not lower.
+        """
+        body = self.spec.bodies.get(name)
+        if body is None or body.is_condition != condition:
+            return None
+        scratch = SourceWriter()
+        scratch.depth, scratch._fresh = w.depth, w._fresh
+        saved = (dict(self.prologue), dict(self.views))
+        self.w, self.dim, self.cb = scratch, body.dim, name
+        self.vars: Dict[str, str] = {}
+        self.slot: Optional[str] = None
+        self.bucket: Mapping[str, np.ndarray] = {}
+        try:
+            scratch.line(f"# {name}: declared body")
+            if self._uses_node_base(body.exprs()):
+                scratch.line(f"nb = {self._scaled('node')}")
+            if condition:
+                result = self._scalar(body.code)
+            else:
+                for stmt in body.code:
+                    self._stmt(stmt)
+                result = ""
+        except _Unlowerable:
+            self.prologue, self.views = saved
+            return None
+        w.lines.extend(scratch.lines)
+        w._fresh = scratch._fresh
+        return result
+
+    def emit_prologue(self, w: SourceWriter) -> None:
+        w.line("try:")
+        w.indent()
+        for target, source in self.prologue.items():
+            w.line(f"{target} = {source}")
+        w.dedent()
+        w.line("except _NO_VIEW:")
+        w.line(f"{_INDENT}return _call_path(ctx, tree, pt, root, max_visits)")
+
+    # -- prologue entries ------------------------------------------------
+
+    def _need(self, target: str, source: str) -> str:
+        if self.prologue.setdefault(target, source) != source:
+            raise _Unlowerable(f"{target} read two ways")
+        return target
+
+    def _view(self, local: str, source: str, kind: str, width: int) -> str:
+        if self.views.setdefault(local, (kind, width)) != (kind, width):
+            raise _Unlowerable(f"{local} read as two kinds or shapes")
+        return self._need(local, source)
+
+    def _field(self, name: str, kind: str, width: int) -> str:
+        return self._view(
+            f"f_{_ident(name)}",
+            f"_flat(tree.arrays[{name!r}], {kind!r}, {width})",
+            kind,
+            width,
+        )
+
+    def _out(self, name: str, kind: str, width: int) -> str:
+        return self._view(
+            f"o_{_ident(name)}",
+            f"_flat(ctx.out[{name!r}], {kind!r}, {width}, True)",
+            kind,
+            width,
+        )
+
+    def _out_cell(self, name: str, kind: str, col: Optional[int]) -> str:
+        if col is not None and type(col) is not int:
+            raise _Unlowerable(f"column {col!r} of {name!r} is not an int literal")
+        view = self._out(name, kind, 0 if col is None else -1)
+        if col is None:
+            index = self._need(f"i_{_ident(name)}", f"_cell(ctx.out[{name!r}], pt)")
+        else:
+            index = self._need(
+                f"i_{_ident(name)}_{'m' if col < 0 else ''}{abs(col)}",
+                f"_cell(ctx.out[{name!r}], pt, {col})",
+            )
+        return f"{view}[{index}]"
+
+    def _query(self) -> List[str]:
+        if self.dim < 1:
+            raise _Unlowerable("a query read in a body without rows")
+        coords = [f"q_{j}" for j in range(self.dim)]
+        self._need("q_row", f"_query_row(ctx.points.coords, pt, {self.dim})")
+        self._need(", ".join(coords) + ("," if self.dim == 1 else ""), "q_row")
+        return coords
+
+    def _bucket_view(self, name: str, kind: str, width: int) -> str:
+        if self.slot is None or name not in self.bucket:
+            raise _Unlowerable(f"bucket array {name!r} read outside its loop")
+        try:
+            view = _flat(self.bucket[name], kind, width)
+        except _NoView:
+            raise _Unlowerable(f"bucket array {name!r} is not as declared")
+        key = f"{_ident(self.cb)}_{_ident(name)}"
+        self.ns[f"_bk_{key}"] = view
+        return self._view(f"b_{key}", f"_bk_{key}", kind, width)
+
+    # -- expressions -----------------------------------------------------
+
+    def _scaled(self, index: str) -> str:
+        return index if self.dim == 1 else f"{index} * {self.dim}"
+
+    @staticmethod
+    def _uses_node_base(exprs) -> bool:
+        return any(
+            isinstance(e, NodeRow)
+            or (isinstance(e, NodeField) and isinstance(e.col, Const))
+            for e in exprs
+        )
+
+    def _simple(self, expr: str) -> str:
+        """``expr`` itself when it is a name or a number, else a fresh
+        local holding it (an operand used twice is evaluated once)."""
+        if expr.isidentifier() or expr.lstrip("-").replace(".", "", 1).isdigit():
+            return expr
+        var = self.w.fresh("t")
+        self.w.line(f"{var} = {expr}")
+        return var
+
+    def _column(self, col: int) -> int:
+        """A literal column, wrapped like a NumPy index."""
+        if not -self.dim <= col < self.dim:
+            raise _Unlowerable(f"column {col} outside a {self.dim}-wide row")
+        return col % self.dim
+
+    @staticmethod
+    def _offset(base: str, j: int) -> str:
+        return f"{base} + {j}" if j else base
+
+    def _scalar(self, e: Expr) -> str:
+        if e.row:
+            raise _Unlowerable("a row where a scalar is needed")
+        t = type(e)
+        if t is Const:
+            return repr(e.value)
+        if t is Param:
+            return self._need(f"p_{_ident(e.name)}", f"float(ctx.params[{e.name!r}])")
+        if t is NodeField:
+            if e.col is None:
+                return f"{self._field(e.name, e.kind, 0)}[node]"
+            if isinstance(e.col, Const):
+                view = self._field(e.name, e.kind, self.dim)
+                return f"{view}[{self._offset('nb', self._literal(e.col))}]"
+            grid = self._view(
+                f"g_{_ident(e.name)}",
+                f"_grid(tree.arrays[{e.name!r}], {e.kind!r}, {self.dim})",
+                e.kind,
+                self.dim,
+            )
+            return f"{grid}[node, {self._index(e.col)}]"
+        if t is QueryCoord:
+            coords = self._query()
+            if isinstance(e.col, Const):
+                return coords[self._literal(e.col)]
+            return f"q_row[{self._index(e.col)}]"
+        if t is QueryId:
+            return self._need("q_id", "_query_id(ctx.points.orig_ids, pt)")
+        if t is OutField:
+            return self._out_cell(e.name, e.kind, e.col)
+        if t is SlotField:
+            return f"{self._bucket_view(e.name, e.kind, 0)}[{self.slot}]"
+        if t is Var:
+            if e.name not in self.vars:
+                raise _Unlowerable(f"Var {e.name!r} read before its Let")
+            return self.vars[e.name]
+        if t is BinOp:
+            return f"({self._scalar(e.a)} {e.op} {self._scalar(e.b)})"
+        if t in (Min, Max):
+            return self._extremum(e, self._scalar(e.a), self._scalar(e.b))
+        if t is SqNorm:
+            return f"({sq_norm_expr([self._simple(x) for x in self._row(e.x)])})"
+        if t is Sqrt:
+            return f"_sqrt{self._scalar(e.x)}"
+        if t is Compare:
+            if e.a.kind != e.b.kind:
+                # NumPy would compare an int64 with a float64 as floats.
+                raise _Unlowerable("a comparison of two kinds")
+            return f"({self._scalar(e.a)} {e.op} {self._scalar(e.b)})"
+        if t is And:
+            return "(" + " and ".join(self._scalar(x) for x in e.terms) + ")"
+        raise _Unlowerable(f"no scalar lowering for {t.__name__}")
+
+    def _literal(self, col: Const) -> int:
+        if col.kind != "i":
+            raise _Unlowerable("a float column")
+        return self._column(col.value)
+
+    def _index(self, col: Expr) -> str:
+        if col.kind != "i" or col.row:
+            raise _Unlowerable("a computed column must be an int scalar")
+        return self._scalar(col)
+
+    def _extremum(self, e: Expr, a: str, b: str) -> str:
+        """``np.maximum``/``np.minimum`` of two scalars: a NaN in either
+        operand wins, and ``a`` is returned only when strictly beyond
+        ``b`` (so ``maximum(-0.0, 0.0)`` is ``0.0``)."""
+        if e.a.kind != e.b.kind:
+            raise _Unlowerable("min/max of an int and a float")
+        a, b = self._simple(a), self._simple(b)
+        op = ">" if type(e) is Max else "<"
+        if e.kind != "f":
+            return f"({a} if {a} {op} {b} else {b})"
+        return f"({a} if ({a} {op} {b} or {a} != {a}) else {b})"
+
+    def _row(self, e: Expr) -> List[str]:
+        t = type(e)
+        if t is QueryRow:
+            return self._query()
+        if t is NodeRow:
+            view = self._field(e.name, "f", self.dim)
+            return [f"{view}[{self._offset('nb', j)}]" for j in range(self.dim)]
+        if t is SlotRow:
+            view = self._bucket_view(e.name, "f", self.dim)
+            return [f"{view}[{self._offset('sb', j)}]" for j in range(self.dim)]
+        if t is BinOp:
+            return [
+                f"({x} {e.op} {y})"
+                for x, y in zip(self._elems(e.a), self._elems(e.b))
+            ]
+        if t in (Min, Max):
+            return [
+                self._extremum(e, x, y)
+                for x, y in zip(self._elems(e.a), self._elems(e.b))
+            ]
+        raise _Unlowerable(f"no row lowering for {t.__name__}")
+
+    def _elems(self, e: Expr) -> List[str]:
+        """``e`` elementwise: a row's elements, or a scalar repeated."""
+        if e.row:
+            return self._row(e)
+        return [self._simple(self._scalar(e))] * self.dim
+
+    # -- statements ------------------------------------------------------
+
+    def _checked(self, value: Expr, kind: str) -> str:
+        if value.kind != kind:
+            raise _Unlowerable(f"a {value.kind} value stored into a {kind} array")
+        return self._scalar(value)
+
+    def _stmt(self, s: BodyStmt) -> None:
+        w, t = self.w, type(s)
+        if t is Let:
+            var = self.vars[s.name] = f"l_{_ident(s.name)}"
+            w.line(f"{var} = {self._scalar(s.value)}")
+        elif t is Store:
+            w.line(f"if {self._scalar(s.when)}:")
+            w.indent()
+            if not s.writes:
+                w.line("pass")
+            # Every value is read before the first write, as NumPy
+            # computes the masked right-hand sides before storing.
+            values = [(name, self._simple(self._scalar(v))) for name, v in s.writes]
+            for (name, value), (_, v) in zip(values, s.writes):
+                w.line(f"{self._out_cell(name, v.kind, None)} = {value}")
+            w.dedent()
+        elif t is AddTo:
+            test = self._scalar(s.when)
+            value = self._scalar(s.value)
+            w.line(f"if {test}:")
+            w.line(f"{_INDENT}{self._out_cell(s.name, s.value.kind, None)} += {value}")
+        elif t is TopKInsert:
+            dist = self._out(s.dist, "f", -1)
+            ids = self._out(s.ids, "i", -1)
+            key = _ident(s.dist)
+            row = self._need(
+                f"rb_{key}, rk_{key}",
+                f"_row(ctx.out[{s.dist!r}], ctx.out[{s.ids!r}], pt)",
+            )
+            base, k = row.split(", ")
+            w.line(f"if {self._scalar(s.when)}:")
+            w.indent()
+            value = self._checked(s.value, "f")
+            ident = self._checked(s.ident, "i")
+            w.line(f"_topk_insert({dist}, {ids}, {base}, {k}, {value}, {ident})")
+            w.dedent()
+        elif t is LeafSlots:
+            self._leaf_slots(s)
+        else:
+            raise _Unlowerable(f"no lowering for {t.__name__}")
+
+    def _leaf_slots(self, s: LeafSlots) -> None:
+        if self.slot is not None:
+            raise _Unlowerable("nested LeafSlots")
+        w = self.w
+        start = self._simple(f"{self._field(s.start, 'i', 0)}[node]")
+        count = self._simple(f"{self._field(s.count, 'i', 0)}[node]")
+        bound = int(s.bound)
+        slot = w.fresh("r")
+        w.line(
+            f"for {slot} in range({start}, {start} + "
+            f"({count} if {count} < {bound} else {bound})):"
+        )
+        w.indent()
+        self.slot, self.bucket = slot, s.bucket
+        exprs = [e for st in s.body for x in st.walk() for r in x.exprs() for e in r.walk()]
+        if any(isinstance(e, SlotRow) for e in exprs):
+            w.line(f"sb = {self._scaled(slot)}")
+        for stmt in s.body:
+            self._stmt(stmt)
+        if not s.body:
+            w.line("pass")
+        w.dedent()
+        self.slot, self.bucket = None, {}
+
+
+class _CallPathWalk:
+    """The call-path traversal of a kernel, compiled on first use: a
+    lowered walk runs it when its arrays are not as declared.  It
+    keeps the emitted source and bindings, not the kernel, so a kernel
+    memoizing its lowered walk (:func:`traversal_for`) is in no
+    reference cycle and is freed with its plan."""
+
+    def __init__(self, unit: "EmitUnit", name: str, label: str) -> None:
+        self.source, self.bindings = unit.source, unit.bindings
+        self.name, self.label = name, label
+        self.fn: Optional[Callable] = None
+
+    def __call__(self, ctx, tree, pt, root, max_visits):
+        if self.fn is None:
+            self.fn = _exec_scalar(self.source, self.bindings, self.name, self.label)
+        return self.fn(ctx, tree, pt, root, max_visits)
+
+
 @register_pass
 class EmitScalarPython(EmitPass):
     """Emit the standalone per-point Python traversal (runnable Fig. 6/7).
 
     The function name comes from ``unit.bindings['emit_name']``
     (default ``traverse``).  The pass also fills ``unit.bindings`` with
-    the runtime namespace the source closes over: each condition,
-    update and arg rule bound under its own name, the initial
-    arguments, and the node-array helpers.  A visit then costs little
-    more than its callbacks:
+    the runtime namespace the source closes over.
+
+    A callback with a declared body (``spec.bodies``) is inlined as
+    plain-Python arithmetic over flat views of the walk's arrays, so
+    such a visit makes no NumPy call (see :class:`_ScalarBodies`).
+    Every other callback is called under its own name, and a visit
+    then costs little more than its callbacks:
 
     * callbacks get one read-only node array per visit and one point
       array per walk, shared by every callback of the visit;
@@ -2277,8 +2831,10 @@ class EmitScalarPython(EmitPass):
     * child ids come from the tree's child arrays, bound once per walk.
 
     Visit order, arguments and updates are those of the recursive
-    interpreter on the original spec, bit for bit (asserted by
-    ``tests/test_emit_python.py``), and so is its runaway guard.
+    interpreter on the original spec and its callables, bit for bit
+    (asserted by ``tests/test_emit_python.py``), and so is its
+    runaway guard.  ``unit.bindings['lower_bodies'] = False`` emits
+    the call path for every callback.
     """
 
     def can_apply(self, unit: EmitUnit) -> bool:
@@ -2299,6 +2855,16 @@ class EmitScalarPython(EmitPass):
         self._carry = bool(self._rule_args) or any(
             call.arg_overrides for g in kernel.push_groups() for call in g.calls
         )
+        name = ns.get("emit_name", "traverse")
+        self._lowering = None
+        if ns.get("lower_bodies", True):
+            self._lowering = _ScalarBodies.for_spec(spec, ns)
+        #: whether any callback or arg rule keeps the call path.
+        self._calls = bool(self._rule_args)
+        loop = SourceWriter()
+        loop.depth = 2
+        self._emit(kernel.body, loop)
+
         initial_args = spec.initial_args(1)
         for arr in initial_args.values():
             arr.flags.writeable = False
@@ -2309,9 +2875,27 @@ class EmitScalarPython(EmitPass):
             _initial_args=initial_args,
         )
         w = SourceWriter()
-        prelude = _SCALAR_PRELUDE.format(name=ns.get("emit_name", "traverse"))
-        w.lines.extend(prelude.rstrip().split("\n"))
+        w.lines.extend(_SCALAR_PRELUDE.format(name=name).rstrip().split("\n"))
         w.indent()
+        if self._calls:
+            w.line("rows = _node_rows(tree.n_nodes)")
+            w.line("pa = _readonly1(pt)")
+        if self._lowering is not None and self._lowering.prologue:
+            ns.update(
+                _NO_VIEW=_NO_VIEW,
+                _call_path=_CallPathWalk(
+                    _scalar_unit(kernel, name, lower=False), name, spec.name
+                ),
+                _flat=_flat,
+                _grid=_grid,
+                _cell=_cell,
+                _row=_row,
+                _query_row=_query_row,
+                _query_id=_query_id,
+                _topk_insert=_topk_insert,
+                _sqrt=math.sqrt,
+            )
+            self._lowering.emit_prologue(w)
         for child in _child_names(kernel):
             w.line(f"{self._child_var(child)} = tree.children[{child!r}]")
         if self._carry:
@@ -2329,32 +2913,34 @@ class EmitScalarPython(EmitPass):
             w.indent()
             self._emit_visit(w)
             w.dedent()
-            w.line("else:")
-            w.line(f"{_INDENT}nd = _readonly1(node)")
+            if self._calls:
+                w.line("else:")
+                w.line(f"{_INDENT}nd = _readonly1(node)")
         else:
             w.line("if node < 0:")
             w.line(f"{_INDENT}continue")
             self._emit_visit(w)
-        self._emit(kernel.body, w)
+        w.lines.extend(loop.lines)
         w.dedent()
         w.line("return visits")
         unit.source = w.source()
 
-    @staticmethod
-    def _emit_visit(w: SourceWriter) -> None:
+    def _emit_visit(self, w: SourceWriter) -> None:
         w.line("visit(node)")
         w.line("if len(visits) > max_visits:")
         w.line(
             f'{_INDENT}raise RuntimeError("traversal exceeded max_visits; '
             'runaway spec?")'
         )
-        w.line("nd = rows[node]")
+        if self._calls:
+            w.line("nd = rows[node]")
 
     # -- namespace -------------------------------------------------------
 
     def _bind(self, prefix: str, key: str, value) -> str:
         """Bind ``value`` in the namespace under a readable identifier."""
-        base = prefix + "".join(c if c.isalnum() else "_" for c in key)
+        self._calls = True
+        base = prefix + _ident(key)
         ident, i = base, 1
         while ident in self._ns and self._ns[ident] is not value:
             i += 1
@@ -2366,7 +2952,7 @@ class EmitScalarPython(EmitPass):
         """The walk's local holding ``tree.children[child]``."""
         var = self._child_vars.get(child)
         if var is None:
-            var = "_ch_" + "".join(c if c.isalnum() else "_" for c in child)
+            var = "_ch_" + _ident(child)
             while var in self._child_vars.values():
                 var += "_"
             self._child_vars[child] = var
@@ -2390,14 +2976,19 @@ class EmitScalarPython(EmitPass):
 
     def _emit(self, stmt: Stmt, w: SourceWriter) -> None:
         spec = self._spec
+        lowering = self._lowering
         if isinstance(stmt, Seq):
             if not stmt.stmts:
                 w.line("pass")
             for s in stmt.stmts:
                 self._emit(s, w)
         elif isinstance(stmt, If):
-            fn = self._bind("_c_", stmt.cond.name, spec.conditions[stmt.cond.name])
-            w.line(f"if {fn}(ctx, nd, pa, args)[0]:")
+            name = stmt.cond.name
+            test = None if lowering is None else lowering.lower(name, True, w)
+            if test is None:
+                fn = self._bind("_c_", name, spec.conditions[name])
+                test = f"{fn}(ctx, nd, pa, args)[0]"
+            w.line(f"if {test}:")
             w.indent()
             self._emit(stmt.then, w)
             w.dedent()
@@ -2407,8 +2998,10 @@ class EmitScalarPython(EmitPass):
                 self._emit(stmt.orelse, w)
                 w.dedent()
         elif isinstance(stmt, Update):
-            fn = self._bind("_u_", stmt.fn.name, spec.updates[stmt.fn.name])
-            w.line(f"{fn}(ctx, nd, pa, args)")
+            name = stmt.fn.name
+            if lowering is None or lowering.lower(name, False, w) is None:
+                fn = self._bind("_u_", name, spec.updates[name])
+                w.line(f"{fn}(ctx, nd, pa, args)")
         elif isinstance(stmt, Continue):
             w.line("continue")
         elif isinstance(stmt, PushGroup):
@@ -2541,7 +3134,7 @@ def render_iterative(kernel: IterativeKernel) -> str:
 def emit_traversal_source(kernel: IterativeKernel, name: str = "traverse") -> str:
     """The per-point traversal's source, as :func:`compile_traversal`
     compiles it."""
-    return _scalar_unit(kernel, name).source
+    return _scalar_unit(kernel, name, lower=True).source
 
 
 def compile_traversal(kernel: IterativeKernel, name: str = "traverse") -> Callable:
@@ -2551,13 +3144,21 @@ def compile_traversal(kernel: IterativeKernel, name: str = "traverse") -> Callab
     max_visits=10_000_000) -> list``: it returns the visited node ids
     and applies the updates to ``ctx.out``, exactly as
     :meth:`repro.cpusim.recursive.RecursiveInterpreter.run_point` does
-    on the original spec.  ``__source__`` carries the emitted text.
+    on the original spec.  ``__source__`` carries the emitted text,
+    which also goes to :data:`dump_sink` as ``<spec>.<name>``.
     """
-    unit = _scalar_unit(kernel, name)
-    ns = dict(unit.bindings)
-    exec(compile(unit.source, f"<emitted {kernel.spec.name}>", "exec"), ns)
+    unit = _scalar_unit(kernel, name, lower=True)
+    fn = _exec_scalar(unit.source, unit.bindings, name, kernel.spec.name)
+    if dump_sink is not None:
+        dump_sink(f"{kernel.spec.name}.{name}", unit.source)
+    return fn
+
+
+def _exec_scalar(source: str, bindings, name: str, label: str) -> Callable:
+    ns = dict(bindings)
+    exec(compile(source, f"<emitted {label}>", "exec"), ns)
     fn = ns[name]
-    fn.__source__ = unit.source
+    fn.__source__ = source
     return fn
 
 
@@ -2575,9 +3176,9 @@ def traversal_for(kernel: IterativeKernel) -> Callable:
     return fn
 
 
-def _scalar_unit(kernel: IterativeKernel, name: str) -> EmitUnit:
+def _scalar_unit(kernel: IterativeKernel, name: str, lower: bool) -> EmitUnit:
     unit = EmitUnit(
         kernel=kernel, facts=None, mode="scalar_python",
-        bindings={"emit_name": name},
+        bindings={"emit_name": name, "lower_bodies": lower},
     )
     return run_pipeline(unit)

@@ -277,6 +277,7 @@ def normalize_to_pseudo_tail(spec: TraversalSpec) -> TraversalSpec:
         annotations=spec.annotations,
         child_field_group=spec.child_field_group,
         visits_null_children=True,
+        bodies=spec.bodies,
     )
 
 
@@ -292,6 +293,7 @@ def replace_spec_body(spec: TraversalSpec, body: Stmt) -> TraversalSpec:
         annotations=spec.annotations,
         child_field_group=spec.child_field_group,
         visits_null_children=spec.visits_null_children,
+        bodies=spec.bodies,
     )
 
 

@@ -211,8 +211,10 @@ def main(argv=None) -> int:
     )
     eng.add_argument(
         "--dump-source", metavar="DIR",
-        help="on the codegen engine: write every emitted step-loop "
-        "source into DIR as <kernel>.<kind>.py",
+        help="write every emitted source into DIR: each step loop of "
+        "the codegen engine as <kernel>.<kind>.py and each per-point "
+        "traversal (the cpu backend and similarity probe) as "
+        "<kernel>.traverse.py",
     )
     eng.add_argument(
         "--memo-capacity", type=int, default=256,

@@ -2,11 +2,14 @@
 (:class:`repro.core.passes.EmitScalarPython`): emitted source vs scalar
 recursion, bit for bit."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.passes import (
     compile_traversal,
+    einsum_order_holds,
     emit_traversal_source,
     traversal_for,
 )
@@ -48,9 +51,10 @@ class TestEmission:
         assert "def traverse" in fn.__source__
 
     def test_callbacks_bound_by_name(self, compiled_apps):
-        src = emit_traversal_source(compiled_apps["pc"].autoropes)
-        assert "_c_cannot_correlate(ctx, nd, pa, args)[0]" in src
-        assert "_u_count_bucket(ctx, nd, pa, args)" in src
+        # bh declares no bodies, so its callbacks keep the call path.
+        src = emit_traversal_source(compiled_apps["bh"].autoropes)
+        assert "_c_approximate(ctx, nd, pa, args)[0]" in src
+        assert "_u_add_force(ctx, nd, pa, args)" in src
         assert "_cond[" not in src and "_upd[" not in src
 
     def test_args_copied_only_with_variant_args(self, compiled_apps):
@@ -63,22 +67,35 @@ class TestEmission:
         assert bh.count("push((") == 8
 
     def test_callbacks_get_read_only_arrays(self, compiled_apps, all_apps):
-        app = all_apps["pc"]
-        kernel = compiled_apps["pc"].autoropes
+        app = all_apps["bh"]
+        kernel = compiled_apps["bh"].autoropes
         fn = traversal_for(kernel)
         seen = []
-        cond = kernel.spec.conditions["cannot_correlate"]
+        cond = kernel.spec.conditions["approximate"]
 
         def spy(ctx, node, pt, args):
             seen.append((node.flags.writeable, pt.flags.writeable, node.shape))
             return cond(ctx, node, pt, args)
 
-        fn.__globals__["_c_cannot_correlate"] = spy
+        fn.__globals__["_c_approximate"] = spy
         try:
             fn(app.make_ctx(), app.tree, 0, app.tree.root)
         finally:
-            fn.__globals__["_c_cannot_correlate"] = cond
+            fn.__globals__["_c_approximate"] = cond
         assert seen and all(s == (False, False, (1,)) for s in seen)
+
+    @pytest.mark.parametrize("name", ["pc", "knn", "nn", "vp"])
+    def test_declared_bodies_are_inlined(self, name, compiled_apps):
+        """Every callback of the four declared apps is inlined: the
+        per-point source calls none of them."""
+        if not einsum_order_holds(3):
+            pytest.skip("this host's einsum order is not the lowered one")
+        kernel = compiled_apps[name].autoropes
+        src = emit_traversal_source(kernel)
+        assert re.search(r"\b_[cu]_\w+\(", src) is None, src
+        for callback in kernel.spec.bodies:
+            assert f"# {callback}: declared body" in src
+        assert "rows[node]" not in src and "_readonly1(pt)" not in src
 
 
 class TestDifferential:
@@ -197,3 +214,129 @@ class TestRunawayGuard:
                 assert len(
                     fn(app.make_ctx(), app.tree, 0, app.tree.root, max_visits=bound)
                 ) == visits
+
+
+class TestFallback:
+    """Where the lowering does not hold, the call path does, bit for
+    bit."""
+
+    def test_failed_order_check_keeps_the_call_path(
+        self, monkeypatch, all_apps, compiled_apps
+    ):
+        """A host whose einsum order is not the lowered one: the
+        declared apps emit every callback as a call and still match
+        the interpreter byte for byte."""
+        from repro.core import passes
+
+        monkeypatch.setattr(passes, "einsum_order_holds", lambda n: False)
+        for name in ("pc", "knn", "nn", "vp"):
+            app = all_apps[name]
+            kernel = compiled_apps[name].autoropes
+            src = emit_traversal_source(kernel)
+            for cond in app.spec.conditions:
+                assert f"_c_{cond}(ctx, nd, pa, args)[0]" in src, name
+            for update in app.spec.updates:
+                assert f"_u_{update}(ctx, nd, pa, args)" in src, name
+            assert "declared body" not in src and "_call_path" not in src
+            fn = compile_traversal(kernel)
+            gen_ctx, ref_ctx = app.make_ctx(), app.make_ctx()
+            interp = RecursiveInterpreter(app.spec, app.tree, ref_ctx)
+            for p in range(0, app.n_points, 7):
+                got = fn(gen_ctx, app.tree, p, app.tree.root)
+                assert_bit_identical(
+                    np.array(got, dtype=np.int64), interp.run_point(p), name
+                )
+            assert_outs_identical(gen_ctx, ref_ctx, err_msg=name)
+
+    def test_order_check_rejects_another_summation_order(self, monkeypatch):
+        """The emit-time check compares against the host's einsum, so
+        a reduction in any other order fails it."""
+        from repro.core import passes
+
+        assert passes.sq_norm_expr(["a", "b", "c"]) == "a * a + c * c + (b * b)"
+        monkeypatch.setattr(passes, "_EINSUM_ORDER", {})
+        monkeypatch.setattr(
+            passes,
+            "sq_norm_expr",
+            lambda names: " + ".join(f"{e} * {e}" for e in reversed(names)),
+        )
+        assert not passes.einsum_order_holds(7)
+
+    def test_partly_declared_spec_mixes_both_paths(self, all_apps, compiled_apps):
+        """A spec declaring only some bodies inlines those and calls
+        the rest, with the same visits and results."""
+        from repro.core.ir import TraversalSpec
+        from repro.core.pipeline import TransformPipeline
+
+        app = all_apps["pc"]
+        spec = TraversalSpec(
+            name="pc_partial",
+            body=app.spec.body,
+            conditions=app.spec.conditions,
+            updates=app.spec.updates,
+            bodies={"cannot_correlate": app.spec.bodies["cannot_correlate"]},
+        )
+        fn = compile_traversal(TransformPipeline().compile(spec).autoropes)
+        if einsum_order_holds(3):
+            assert "_c_cannot_correlate(" not in fn.__source__
+        assert "_c_is_leaf(ctx, nd, pa, args)[0]" in fn.__source__
+        assert "_u_count_bucket(ctx, nd, pa, args)" in fn.__source__
+        gen_ctx, ref_ctx = app.make_ctx(), app.make_ctx()
+        interp = RecursiveInterpreter(app.spec, app.tree, ref_ctx)
+        for p in range(0, app.n_points, 3):
+            got = fn(gen_ctx, app.tree, p, app.tree.root)
+            assert_bit_identical(np.array(got, dtype=np.int64), interp.run_point(p))
+        assert_outs_identical(gen_ctx, ref_ctx)
+
+    def test_undeclared_arrays_run_the_call_path(self, all_apps, compiled_apps):
+        """A tree whose fields are not C-contiguous cannot be viewed as
+        declared: the walk runs the call path, with the same result."""
+        from dataclasses import replace
+
+        if not einsum_order_holds(3):
+            pytest.skip("this host's einsum order is not the lowered one")
+        app = all_apps["pc"]
+        arrays = dict(app.tree.arrays)
+        arrays["bbox_min"] = np.asfortranarray(arrays["bbox_min"])
+        tree = replace(app.tree, arrays=arrays)
+        fn = compile_traversal(compiled_apps["pc"].autoropes)
+        gen_ctx, ref_ctx = app.make_ctx(), app.make_ctx()
+        interp = RecursiveInterpreter(app.spec, tree, ref_ctx)
+        for p in range(0, app.n_points, 5):
+            got = fn(gen_ctx, tree, p, tree.root)
+            assert_bit_identical(np.array(got, dtype=np.int64), interp.run_point(p))
+        assert_outs_identical(gen_ctx, ref_ctx)
+        assert fn.__globals__["_call_path"].fn is not None
+
+    def test_undeclared_specs_keep_the_call_path(self, compiled_apps, monkeypatch):
+        """bh and the bring-your-own example declare no bodies: their
+        traversals call every callback (and the example's
+        normalization-made ones) by name."""
+        import runpy
+        from pathlib import Path
+
+        from repro.core.pipeline import TransformPipeline
+
+        bh = emit_traversal_source(compiled_apps["bh"].autoropes)
+        assert "_c_approximate(" in bh and "_u_add_force(" in bh
+
+        class Captured(Exception):
+            pass
+
+        specs = []
+
+        def capture(self, spec):
+            specs.append(spec)
+            raise Captured
+
+        monkeypatch.setattr(TransformPipeline, "compile", capture)
+        example = Path(__file__).resolve().parents[1] / "examples" / "custom_traversal.py"
+        with pytest.raises(Captured):
+            runpy.run_path(str(example), run_name="__main__")
+        monkeypatch.undo()
+        (spec,) = specs
+        assert not spec.bodies
+        src = emit_traversal_source(TransformPipeline().compile(spec).autoropes)
+        assert "_c_disjoint(ctx, nd, pa, args)[0]" in src
+        assert "_u___deferred_add_if_inside_1(ctx, nd, pa, args)" in src
+        assert "declared body" not in src

@@ -166,3 +166,53 @@ class TestRefs:
 
     def test_childref_defaults_point_independent(self):
         assert not ChildRef("left").point_dependent
+
+
+class TestDeclaredBodies:
+    def test_bodies_bind_to_callbacks_of_their_kind(self):
+        from repro.core.ir import AddTo, Body, NodeField
+
+        body = Seq(If(CondRef("c"), Return()), Update(UpdateRef("u")))
+        leaf = Body(NodeField("is_leaf", bool))
+        bump = Body((AddTo("count", 1, when=NodeField("is_leaf", bool)),))
+        spec = make_spec(body, bodies={"c": leaf, "u": bump})
+        assert spec.bodies["c"].is_condition and not spec.bodies["u"].is_condition
+        with pytest.raises(KeyError, match="no bound callback"):
+            make_spec(body, bodies={"nope": leaf})
+        with pytest.raises(TypeError, match="declares an update body"):
+            make_spec(body, bodies={"c": bump})
+        with pytest.raises(TypeError, match="declares a condition body"):
+            make_spec(body, bodies={"u": leaf})
+
+    def test_expressions_check_their_shapes(self):
+        from repro.core.ir import Body, NodeRow, QueryRow, SqNorm, Sqrt, ne
+
+        q = QueryRow()
+        d = SqNorm(q - NodeRow("center"))
+        assert d.kind == "f" and not d.row and (q - 1.0).row
+        with pytest.raises(TypeError):
+            SqNorm(d)  # reduces a row, not a scalar
+        with pytest.raises(TypeError):
+            Sqrt(q)  # only a squared norm
+        with pytest.raises(TypeError):
+            q < d  # comparisons take scalars
+        with pytest.raises(TypeError):
+            Body(d)  # a condition is boolean
+        assert Body(ne(d, 0.0) & (d > 1), dim=3).is_condition
+
+    def test_normalization_carries_bodies(self):
+        from repro.core.ir import Body, NodeField
+        from repro.core.pseudotail import normalize_to_pseudo_tail
+
+        spec = make_spec(
+            Seq(
+                Recurse(ChildRef("left")),
+                Update(UpdateRef("u")),
+                Recurse(ChildRef("right")),
+            ),
+            conditions={"c": _true},
+            bodies={"c": Body(NodeField("is_leaf", bool))},
+        )
+        normalized = normalize_to_pseudo_tail(spec)
+        assert normalized.visits_null_children
+        assert normalized.bodies is spec.bodies

@@ -37,7 +37,7 @@ from repro.core.ir import (
     Update,
     UpdateRef,
 )
-from repro.core.passes import traversal_for
+from repro.core.passes import einsum_order_holds, traversal_for
 from repro.core.pipeline import TransformPipeline
 from repro.cpusim.recursive import RecursiveInterpreter
 from repro.gpusim.device import small_test_device
@@ -369,6 +369,107 @@ def test_generated_traversal_equals_recursion(
     for p in range(n_pts):
         got = np.array(walk(ctx, tree, p, tree.root), dtype=np.int64)
         assert_bit_identical(got, interp.run_point(p))
+    for key in ref_ctx.out:
+        assert_bit_identical(ctx.out[key], ref_ctx.out[key])
+
+
+def lowered_app(name: str, data: np.ndarray, leaf: int, radius: float):
+    """One of the four apps with declared bodies, over ``data``."""
+    from repro.apps.knn import build_knn_app
+    from repro.apps.nn import build_nn_app
+    from repro.apps.pointcorr import build_pointcorr_app
+    from repro.apps.vptree_nn import build_vptree_app
+
+    order = np.arange(len(data))
+    if name == "pc":
+        return build_pointcorr_app(data, order, radius=radius, leaf_size=leaf)
+    if name == "knn":
+        return build_knn_app(data, order, k=min(3, len(data) - 1), leaf_size=leaf)
+    if name == "nn":
+        return build_nn_app(data, order)
+    return build_vptree_app(data, order, leaf_size=leaf)
+
+
+def queries_on_data_and_faces(rng, tree, data: np.ndarray):
+    """Every data point (with its id, so self-exclusion fires), copies
+    of them under id -1, and points on node bounding-box faces and
+    corners (and on vantage points and covering-ball centers)."""
+    rows = [f for f in ("bbox_min", "bbox_max", "center", "vantage", "point")
+            if f in tree.arrays]
+    extra = []
+    for field in rows:
+        for r in tree.arrays[field][: 6]:
+            extra.append(r)
+            face = data[rng.integers(len(data))].copy()
+            j = rng.integers(data.shape[1])
+            face[j] = r[j]
+            extra.append(face)
+    coords = np.vstack([data, data[: 4]] + [np.array(extra)] * bool(extra))
+    ids = np.concatenate(
+        [np.arange(len(data)), np.full(len(coords) - len(data), -1)]
+    ).astype(np.int64)
+    return np.ascontiguousarray(coords), ids
+
+
+@given(
+    name=st.sampled_from(("pc", "knn", "nn", "vp")),
+    dim=st.sampled_from((2, 3, 7)),
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 48),
+    leaf=st.integers(1, 6),
+    radius=st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_lowered_bodies_equal_recursion(name, dim, seed, n, leaf, radius):
+    """The declared bodies inlined into the generated traversal: per
+    query the visit sequence of recursion on the original callables,
+    every ``ctx.out`` array byte-identical, and the runaway guard
+    ending a walk at the same bound with the same partial results.
+
+    Coordinates sit on a coarse grid half the time, so datasets carry
+    duplicated points, ties and distances exactly at the radius;
+    leaf buckets are partial wherever a split leaves fewer points
+    than ``leaf``."""
+    from repro.service.sessions import ADAPTERS
+
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, 5, (n, dim)) * 0.25
+    data = np.where(rng.random((n, dim)) < 0.5, grid, rng.random((n, dim)))
+    dups = rng.integers(0, n, n // 4)
+    data[rng.integers(0, n, len(dups))] = data[dups]
+    app = lowered_app(name, data, leaf, radius)
+    walk = traversal_for(PIPELINE.compile(app.spec).autoropes)
+    lowered = einsum_order_holds(dim)
+    assert ("_c_" in walk.__source__) is not lowered
+    coords, ids = queries_on_data_and_faces(rng, app.tree, data)
+
+    def fresh_ctx():
+        return EvalContext(
+            tree=app.tree,
+            points=QuerySet(coords, ids),
+            out=ADAPTERS[name].make_out(len(coords), app.params),
+            params=dict(app.params),
+        )
+
+    ctx, ref_ctx = fresh_ctx(), fresh_ctx()
+    interp = RecursiveInterpreter(app.spec, app.tree, ref_ctx)
+    for p in range(len(coords)):
+        got = np.array(walk(ctx, app.tree, p, app.tree.root), dtype=np.int64)
+        assert_bit_identical(got, interp.run_point(p))
+    for key in ref_ctx.out:
+        assert_bit_identical(ctx.out[key], ref_ctx.out[key])
+    if lowered:  # every walk ran the lowered bodies, none the calls
+        assert walk.__globals__["_call_path"].fn is None
+
+    p = int(rng.integers(len(coords)))
+    bound = len(walk(fresh_ctx(), app.tree, p, app.tree.root)) - 1
+    ctx, ref_ctx = fresh_ctx(), fresh_ctx()
+    with pytest.raises(RuntimeError, match="max_visits"):
+        walk(ctx, app.tree, p, app.tree.root, max_visits=bound)
+    with pytest.raises(RuntimeError, match="max_visits"):
+        RecursiveInterpreter(
+            app.spec, app.tree, ref_ctx, max_visits=bound
+        ).run_point(p)
     for key in ref_ctx.out:
         assert_bit_identical(ctx.out[key], ref_ctx.out[key])
 
