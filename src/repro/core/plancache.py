@@ -146,14 +146,23 @@ class PlanCache:
         plan after repeated execution failures, on the theory that a
         freshly compiled plan clears any poisoned cached state.
         """
-        self._failures.pop(key, None)
-        self._codegen.pop(key, None)
-        if self._plans.pop(key, None) is None:
+        cached = key in self._plans
+        self.release(key)
+        if not cached:
             return False
         self.invalidations += 1
         if self.on_event is not None:
             self.on_event("invalidate")
         return True
+
+    def release(self, key: Hashable) -> None:
+        """Forget ``key``'s plan, failure count and generated functions
+        because nothing uses them any more (the last session over the
+        key unregistered).  Not an invalidation: no counter moves and
+        ``on_event`` is not called."""
+        self._plans.pop(key, None)
+        self._failures.pop(key, None)
+        self._codegen.pop(key, None)
 
     def record_failure(self, key: Hashable, threshold: int = 3) -> bool:
         """Count one execution failure against ``key``'s plan.

@@ -13,10 +13,12 @@ one-process ceiling of ``repro.service --serve``.  The topology
   places sessions on workers by consistent hash
   (:mod:`repro.fleet.hashring`), scatter-slices large single-session
   batches across the live workers and gather-merges the results in
-  submission order (:mod:`repro.fleet.slicing`), and fronts the fleet
-  with the same pull-based HTTP surface serve mode speaks —
+  submission order (:mod:`repro.fleet.slicing`).  The **server**
+  (:mod:`repro.fleet.server`) fronts the fleet with the same HTTP
+  front-end serve mode uses (:mod:`repro.telemetry.http`) —
   ``/metrics`` (per-worker-labelled merge), ``/healthz`` (degraded if
-  any worker is), ``/statsz`` (strict-JSON fleet snapshot).
+  any worker is), ``/statsz`` (strict-JSON fleet snapshot), and the
+  merged ``/tracez`` and ``/logz`` timelines.
 * The **pool** (:mod:`repro.fleet.pool`) is the generic pinned-process
   layer under the workers; ``benchmarks/perf --jobs N`` reuses it to
   run benchmark cells in parallel.
@@ -42,7 +44,8 @@ from repro.fleet.chaos import FleetChaos, FleetChaosConfig
 from repro.fleet.hashring import HashRing
 from repro.fleet.ledger import SessionLedger, data_digest
 from repro.fleet.pool import ProcessPool, pin_to_cpu
-from repro.fleet.router import FleetConfig, FleetRouter, FleetServer, run_fleet
+from repro.fleet.router import FleetConfig, FleetRouter
+from repro.fleet.server import FleetServer
 from repro.fleet.slicing import gather, scatter, scatter_slices
 from repro.fleet.supervisor import FleetSupervisor, RestartPolicy
 from repro.fleet.wire import WireError, WorkerGone
@@ -63,7 +66,6 @@ __all__ = [
     "data_digest",
     "gather",
     "pin_to_cpu",
-    "run_fleet",
     "scatter",
     "scatter_slices",
 ]

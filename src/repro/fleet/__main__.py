@@ -4,24 +4,12 @@ Boots a router plus N shared-nothing worker processes, registers the
 same two demo sessions as ``python -m repro.service`` on *every*
 worker (point correlation over the clustered "geocity" dataset, kNN
 over a uniform random one), starts the seeded synthetic load pump,
-and serves the aggregated pull endpoints:
-
-* ``/metrics`` — merged Prometheus exposition, every worker series
-  labelled ``worker="wN"``, plus the router's own ``fleet_*`` families;
-* ``/healthz`` — fleet readiness (503 while any worker is degraded,
-  unreachable, or dead);
-* ``/statsz`` — strict-JSON fleet snapshot: per-worker stats plus the
-  summed aggregate (``None``, never ``NaN``, when nothing has samples);
-* ``/tracez`` — the merged fleet timeline: worker spans (shipped back
-  over the wire) assembled under the router's ticket spans, one trace
-  per scatter/gather ticket (``?format=chrome`` for trace_event JSON);
-* ``/logz`` — the merged fleet log stream: worker event-log records
-  (shipped back over the wire like spans) plus the router's own,
-  filterable by level / worker / trace id — a ticket's logs, spans,
-  and latency exemplars join on the same trace id;
-* ``/debugz`` — one strict-JSON fleet diagnostics snapshot (config,
-  ring placement, breaker states, recent errors with trace ids);
-* ``/profilez`` — per-worker kernel-profiler snapshots.
+and serves the aggregated pull endpoints through the same HTTP
+front-end as serve mode (:mod:`repro.fleet.server`,
+:mod:`repro.telemetry.http`): ``/metrics`` merges every worker's
+series under a ``worker="wN"`` label, and ``/tracez`` and ``/logz``
+merge the workers' spans and records with the router's own, so a
+ticket's logs, spans and latency exemplars join on one trace id.
 
 ``--otlp-endpoint`` additionally ships every assembled span, the
 merged fleet metrics export, and every assembled log record to an
@@ -44,10 +32,12 @@ import sys
 
 from repro.fleet.chaos import FleetChaosConfig
 from repro.fleet.hashring import DEFAULT_REPLICAS
-from repro.fleet.router import FleetConfig, FleetRouter, FleetServer, run_fleet
+from repro.fleet.router import FleetConfig, FleetRouter
+from repro.fleet.server import FleetServer
 from repro.fleet.supervisor import RestartPolicy
 from repro.points.datasets import dataset_by_name
 from repro.service.service import ENGINES, SORT_MODES
+from repro.telemetry.http import serve_until_signalled
 
 
 def register_demo_sessions(
@@ -252,7 +242,7 @@ def main(argv=None) -> int:
         load_queries_per_tick=args.load_queries_per_tick,
         load_tick_ms=args.load_tick_ms,
     )
-    return run_fleet(server, duration_s=args.serve_duration)
+    return serve_until_signalled(server, duration_s=args.serve_duration)
 
 
 if __name__ == "__main__":

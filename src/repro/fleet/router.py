@@ -50,17 +50,21 @@ router-side flight recorder.
 
 from __future__ import annotations
 
-import json
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.fleet import wire
+from repro.fleet.assembly import (
+    RING_CAPACITY,
+    ROUTER_WORKER,
+    WorkerRing,
+    record_order,
+    span_order,
+)
 from repro.fleet.chaos import FleetChaos, FleetChaosConfig
 from repro.fleet.hashring import DEFAULT_REPLICAS, HashRing
 from repro.fleet.ledger import STATE_MISSING, STATE_OK, SessionLedger
@@ -72,14 +76,10 @@ from repro.fleet.supervisor import (
     FleetSupervisor,
     RestartPolicy,
 )
-from repro.fleet.logs import FleetLogAssembler
-from repro.fleet.tracing import FleetTraceAssembler, ROUTER_WORKER
 from repro.fleet.worker import worker_main
-from repro.service.serve import JSON_CONTENT_TYPE, METRICS_CONTENT_TYPE
 from repro.telemetry import (
     EventLog,
     FlightRecorder,
-    LEVELS,
     MetricsRegistry,
     TraceContext,
     Tracer,
@@ -88,12 +88,23 @@ from repro.telemetry import (
     merge_labeled_exports,
     sum_exports,
 )
-
-if TYPE_CHECKING:
-    from http.server import ThreadingHTTPServer
+from repro.telemetry.http import to_jsonable
 
 #: buckets for the time-to-recovery histogram (logical ms).
 RECOVERY_MS_BUCKETS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0, 5000.0)
+
+#: fleet_* counters mirrored from the rings on every scrape:
+#: (ring attribute, ring count, counter name, help text).
+RING_COUNTERS = (
+    ("trace", "ingested", "fleet_trace_spans_ingested_total",
+     "worker spans absorbed by the fleet trace assembler"),
+    ("trace", "dropped", "fleet_trace_spans_dropped_total",
+     "spans evicted from the fleet trace assembler ring"),
+    ("logs", "ingested", "fleet_log_records_ingested_total",
+     "log records absorbed by the fleet log assembler"),
+    ("logs", "dropped", "fleet_log_records_dropped_total",
+     "log records evicted from the fleet log assembler ring"),
+)
 
 
 @dataclass(frozen=True)
@@ -132,16 +143,12 @@ class FleetConfig:
     #: distributed tracing: stamp a TraceContext on every submit frame,
     #: assemble the workers' span streams in the router, expose the
     #: merged timeline at /tracez.  Off ⇒ frames are byte-identical to
-    #: the pre-tracing protocol and the router allocates no assembler.
+    #: the pre-tracing protocol and the router allocates no span ring.
     trace: bool = True
-    #: fleet trace assembler ring capacity (merged finished spans).
-    trace_capacity: int = 50_000
     #: structured logging: assemble the workers' event-log streams in
-    #: the router, expose the merged stream at /logz.  Off ⇒ frames
-    #: carry no ``logs`` keys and the router allocates no assembler.
+    #: the router, expose the merged stream at /logz.  Off ⇒ the router
+    #: allocates no record ring and no event log of its own.
     log: bool = True
-    #: fleet log assembler ring capacity (merged log records).
-    log_capacity: int = 50_000
 
 
 #: router-side breaker states.
@@ -241,23 +248,19 @@ class FleetRouter:
         #: same way worker identity is — pure function of the one seed.
         self.tracer = Tracer(max_spans=10_000, trace_seed=self.config.seed)
         self.flight = FlightRecorder(capacity=32)
-        #: fleet-wide trace assembly (None when tracing is off: the
-        #: query path then carries no trace payloads at all).
+        #: fleet-wide span ring (None when tracing is off: the query
+        #: path then carries no trace context at all).
         self.trace = (
-            FleetTraceAssembler(capacity=self.config.trace_capacity)
-            if self.config.trace
-            else None
+            WorkerRing("spans", span_order) if self.config.trace else None
         )
-        #: fleet-wide log assembly + the router's own structured log
-        #: (None when logging is off: frames carry no ``logs`` keys and
-        #: the router pays nothing on the query path).
+        #: fleet-wide record ring + the router's own structured log
+        #: (None when logging is off: the router pays nothing on the
+        #: query path).
         self.logs = (
-            FleetLogAssembler(capacity=self.config.log_capacity)
-            if self.config.log
-            else None
+            WorkerRing("records", record_order) if self.config.log else None
         )
         self.log = (
-            EventLog(capacity=self.config.log_capacity, tracer=self.tracer)
+            EventLog(capacity=RING_CAPACITY, tracer=self.tracer)
             if self.config.log
             else None
         )
@@ -265,7 +268,7 @@ class FleetRouter:
         self.otlp = None
         self._ticket_lock = threading.Lock()
         self._next_ticket = 0
-        self._trace_synced: Dict[str, int] = {}
+        self._ring_synced: Dict[str, int] = {}
         self._m = {
             "workers": self.registry.gauge(
                 "fleet_workers", "worker count by state", labels=("state",)
@@ -618,30 +621,46 @@ class FleetRouter:
         the live ring; rehashes automatically after a breaker trip)."""
         return self.ring.place(session)
 
-    # -- distributed tracing ---------------------------------------------
+    # -- fleet telemetry ---------------------------------------------------
 
-    def _ingest_spans(self, worker: str, spans) -> int:
-        """Feed one worker's piggybacked span dicts to the assembler
-        (strict-JSON-converted: numpy never reaches /tracez or OTLP)."""
-        if self.trace is None or not spans:
-            return 0
-        return self.trace.ingest(worker, wire.to_jsonable(spans))
+    def _ingest(self, worker: str, reply: Dict[str, Any]) -> Tuple[int, int]:
+        """Feed one reply's piggybacked ``spans`` and ``logs`` to the
+        rings (strict-JSON-converted: numpy never reaches /tracez,
+        /logz or OTLP).  Returns ``(spans, records)`` absorbed."""
+        absorbed = []
+        for ring, key in ((self.trace, "spans"), (self.logs, "logs")):
+            items = reply.get(key)
+            absorbed.append(
+                ring.ingest(worker, to_jsonable(items))
+                if ring is not None and items else 0
+            )
+        return absorbed[0], absorbed[1]
 
-    # -- structured logging ----------------------------------------------
+    def drain_telemetry(self) -> Tuple[int, int]:
+        """Sweep every live worker's span and record outboxes into the
+        rings: one ``telemetry_drain`` frame per worker.
 
-    def _ingest_logs(self, worker: str, records) -> int:
-        """Feed one worker's piggybacked log records to the assembler
-        (strict-JSON-converted: numpy never reaches /logz or OTLP)."""
-        if self.logs is None or not records:
-            return 0
-        return self.logs.ingest(worker, wire.to_jsonable(records))
+        This is the path that saves telemetry stranded between submits
+        — including the partial spans of a ticket whose worker died and
+        whose rows were rerouted elsewhere.  Returns ``(spans,
+        records)`` absorbed.
+        """
+        if self.trace is None and self.logs is None:
+            return 0, 0
+        replies, _ = self.broadcast("telemetry_drain")
+        spans = records = 0
+        for worker, reply in sorted(replies.items()):
+            n_spans, n_records = self._ingest(worker, reply)
+            spans += n_spans
+            records += n_records
+        return spans, records
 
     def _rlog(self, level: str, event: str, t_ms: float,
               trace_id: Optional[str] = None, **fields) -> None:
         """One router-side log record, immediately visible in /logz.
 
         Router records skip the outbox: they are minted in-process, so
-        they go straight to the assembler tagged ``router`` — same
+        they go straight to the ring tagged ``router`` — same
         worker-tagging discipline as router spans.
         """
         if self.log is None:
@@ -650,17 +669,9 @@ class FleetRouter:
         if self.logs is not None:
             self.logs.ingest(ROUTER_WORKER, [rec])
 
-    def drain_logs(self) -> int:
-        """Sweep every live worker's event-log outbox into the
-        assembler (the ``log_drain`` counterpart of :meth:`drain_spans`).
-        Returns records absorbed."""
-        if self.logs is None:
-            return 0
-        replies, _ = self.broadcast("log_drain")
-        absorbed = 0
-        for worker, reply in sorted(replies.items()):
-            absorbed += self._ingest_logs(worker, reply.get("logs"))
-        return absorbed
+    def tracez(self, limit: Optional[int] = None) -> dict:
+        """The fleet ``/tracez`` payload: sweep, then merged timeline."""
+        return self._ring_payload(self.trace, "spans", limit=limit)
 
     def logz(
         self,
@@ -670,33 +681,17 @@ class FleetRouter:
         trace_id: Optional[str] = None,
     ) -> dict:
         """The fleet ``/logz`` payload: sweep, then the merged stream."""
-        if self.logs is None:
-            return {"enabled": False, "records": [], "workers": []}
-        self.drain_logs()
-        payload = self.logs.to_dict(
-            limit=limit, level=level, worker=worker, trace_id=trace_id
+        return self._ring_payload(
+            self.logs, "records",
+            limit=limit, level=level, worker=worker, trace_id=trace_id,
         )
-        payload["enabled"] = True
-        return payload
 
-    def _sync_log_counters(self) -> None:
-        """Mirror log-assembler totals into fleet_* counters
-        (delta-based, safe on every scrape)."""
-        if self.logs is None:
-            return
-        for name, help_text, total in (
-            ("fleet_log_records_ingested_total",
-             "log records absorbed by the fleet log assembler",
-             self.logs.ingested),
-            ("fleet_log_records_dropped_total",
-             "log records evicted from the fleet log assembler ring",
-             self.logs.dropped),
-        ):
-            counter = self.registry.counter(name, help_text)
-            delta = total - self._trace_synced.get(name, 0)
-            if delta > 0:
-                counter.inc(delta)
-                self._trace_synced[name] = total
+    def _ring_payload(self, ring: Optional[WorkerRing], field: str,
+                      **filters) -> dict:
+        if ring is None:
+            return {"enabled": False, field: [], "workers": []}
+        self.drain_telemetry()
+        return {**ring.to_dict(**filters), "enabled": True}
 
     def _begin_ticket(self, session: str, rows: int):
         """Open the router-side ticket span and build the TraceContext
@@ -724,31 +719,7 @@ class FleetRouter:
         if tspan is None:
             return
         self.tracer.end(tspan.span_id, self.now_ms, status, mode=mode)
-        self._ingest_spans(ROUTER_WORKER, [tspan.to_dict()])
-
-    def drain_spans(self) -> int:
-        """Sweep every live worker's tracer outbox into the assembler.
-
-        This is the path that saves spans stranded between submits —
-        including the partial spans of a ticket whose worker died and
-        whose rows were rerouted elsewhere.  Returns spans absorbed.
-        """
-        if self.trace is None:
-            return 0
-        replies, _ = self.broadcast("trace_drain")
-        absorbed = 0
-        for worker, reply in sorted(replies.items()):
-            absorbed += self._ingest_spans(worker, reply.get("spans"))
-        return absorbed
-
-    def tracez(self, limit: Optional[int] = None) -> dict:
-        """The fleet ``/tracez`` payload: sweep, then merged timeline."""
-        if self.trace is None:
-            return {"enabled": False, "spans": [], "workers": []}
-        self.drain_spans()
-        payload = self.trace.to_dict(limit=limit)
-        payload["enabled"] = True
-        return payload
+        self._ingest(ROUTER_WORKER, {"spans": [tspan.to_dict()]})
 
     def profilez(self) -> dict:
         """Aggregated kernel-profiler snapshots, one per live worker."""
@@ -776,7 +747,7 @@ class FleetRouter:
         replies, failures = self.broadcast("flight")
         workers = {w: r.get("flight") for w, r in sorted(replies.items())}
         return {
-            "router": wire.to_jsonable(self.flight.to_dict()),
+            "router": to_jsonable(self.flight.to_dict()),
             "workers": workers,
             "unreachable": sorted(failures),
         }
@@ -787,13 +758,14 @@ class FleetRouter:
         and the most recent error-level records with their trace ids."""
         from dataclasses import asdict
 
-        errors: List[dict] = []
-        if self.logs is not None:
-            self.drain_logs()
-            errors = self.logs.records(level="error")[-recent_errors:]
+        self.drain_telemetry()
+        errors = (
+            self.logs.records(level="error")[-recent_errors:]
+            if self.logs is not None else []
+        )
         live = self.live_workers()
         return {
-            "config": wire.to_jsonable(asdict(self.config)),
+            "config": to_jsonable(asdict(self.config)),
             "now_ms": self.now_ms,
             "workers": {
                 w: {
@@ -820,32 +792,24 @@ class FleetRouter:
                 "partial": self.ledger.partial_registrations(live),
             },
             "supervision": self.supervisor.snapshot(),
-            "telemetry": {
-                "trace": (
-                    {
-                        "retained": len(self.trace),
-                        "ingested": self.trace.ingested,
-                        "dropped": self.trace.dropped,
-                    }
-                    if self.trace is not None else None
-                ),
-                "logs": (
-                    {
-                        "retained": len(self.logs),
-                        "ingested": self.logs.ingested,
-                        "dropped": self.logs.dropped,
-                    }
-                    if self.logs is not None else None
-                ),
-                "otlp": self.otlp.stats() if self.otlp is not None else None,
-            },
+            "telemetry": self._telemetry_accounting(),
             "recent_errors": errors,
+        }
+
+    def _telemetry_accounting(self) -> dict:
+        """Ring and exporter accounting shared by /statsz and /debugz."""
+        return {
+            "trace": (
+                self.trace.accounting() if self.trace is not None else None
+            ),
+            "logs": self.logs.accounting() if self.logs is not None else None,
+            "otlp": self.otlp.stats() if self.otlp is not None else None,
         }
 
     def attach_otlp(self, exporter) -> None:
         """Wire an :class:`~repro.telemetry.otlp.OTLPExporter` as the
-        assemblers' sink (spans + logs), point its metrics source at
-        the merged fleet export, and start its flush thread."""
+        rings' sink (spans + logs), point its metrics source at the
+        merged fleet export, and start its flush thread."""
         self.otlp = exporter
         if self.trace is not None:
             self.trace.sink = exporter.export
@@ -866,24 +830,19 @@ class FleetRouter:
         except Exception:
             return self.registry.to_dict()
 
-    def _sync_trace_counters(self) -> None:
-        """Mirror assembler totals into fleet_* counters (delta-based,
-        safe on every scrape)."""
-        if self.trace is None:
-            return
-        for name, help_text, total in (
-            ("fleet_trace_spans_ingested_total",
-             "worker spans absorbed by the fleet trace assembler",
-             self.trace.ingested),
-            ("fleet_trace_spans_dropped_total",
-             "spans evicted from the fleet trace assembler ring",
-             self.trace.dropped),
-        ):
+    def _sync_ring_counters(self) -> None:
+        """Mirror ring totals into fleet_* counters (delta-based, safe
+        on every scrape)."""
+        for attr, count, name, help_text in RING_COUNTERS:
+            ring = getattr(self, attr)
+            if ring is None:
+                continue
+            total = getattr(ring, count)
             counter = self.registry.counter(name, help_text)
-            delta = total - self._trace_synced.get(name, 0)
+            delta = total - self._ring_synced.get(name, 0)
             if delta > 0:
                 counter.inc(delta)
-                self._trace_synced[name] = total
+                self._ring_synced[name] = total
 
     # -- query path ------------------------------------------------------
 
@@ -949,8 +908,7 @@ class FleetRouter:
                 self._trip(handle, str(exc), now=now)
                 raise
         self.observe_now(reply.get("now_ms"))
-        self._ingest_spans(worker, reply.get("spans"))
-        self._ingest_logs(worker, reply.get("logs"))
+        self._ingest(worker, reply)
         return reply
 
     def _routed_submit(
@@ -1032,8 +990,7 @@ class FleetRouter:
                     reply = self._recv_submit_reply(handle, now)
                     parts[handle.id] = reply["results"]
                     self.observe_now(reply.get("now_ms"))
-                    self._ingest_spans(handle.id, reply.get("spans"))
-                    self._ingest_logs(handle.id, reply.get("logs"))
+                    self._ingest(handle.id, reply)
                 except (wire.WorkerGone, wire.WireError) as exc:
                     if isinstance(exc, wire.WorkerGone):
                         self._trip(handle, str(exc), now=now)
@@ -1120,8 +1077,7 @@ class FleetRouter:
         )
         for worker, reply in sorted(replies.items()):
             self.observe_now(reply.get("now_ms"))
-            self._ingest_spans(worker, reply.get("spans"))
-            self._ingest_logs(worker, reply.get("logs"))
+            self._ingest(worker, reply)
         for worker, reason in failures.items():
             replies[worker] = {"ok": False, "error": reason}
         return replies
@@ -1243,7 +1199,7 @@ class FleetRouter:
                 self.tracer.end(span.span_id, self.now_ms, status="error",
                                 error=str(exc))
                 self.flight.record(handle.id, span.to_dict())
-                self._ingest_spans(ROUTER_WORKER, [span.to_dict()])
+                self._ingest(ROUTER_WORKER, {"spans": [span.to_dict()]})
                 self._rlog(
                     "error", "fleet.restart_failed", self.now_ms,
                     worker=handle.id, incarnation=handle.incarnation,
@@ -1264,9 +1220,9 @@ class FleetRouter:
             sessions_replayed=replayed, incarnation=handle.incarnation,
         )
         self.flight.record(handle.id, span.to_dict())
-        # Satellite contract: a heal is visible on the same merged
-        # /tracez timeline as the tickets it delayed.
-        self._ingest_spans(ROUTER_WORKER, [span.to_dict()])
+        # A heal is visible on the same merged /tracez timeline as the
+        # tickets it delayed.
+        self._ingest(ROUTER_WORKER, {"spans": [span.to_dict()]})
         self._rlog(
             "info", "fleet.restarted", self.now_ms, worker=handle.id,
             incarnation=handle.incarnation, sessions_replayed=replayed,
@@ -1300,15 +1256,18 @@ class FleetRouter:
 
     # -- aggregation (the HTTP payloads) ---------------------------------
 
-    def metrics_export(self) -> dict:
-        """Merged fleet metrics: per-worker-labelled series + fleet_*."""
+    def _worker_exports(self) -> Dict[str, dict]:
+        """Every answering worker's metrics-registry export."""
         replies, _ = self.broadcast("metrics")
-        exports = {
-            w: r.get("metrics") for w, r in replies.items()
+        return {
+            w: r["metrics"] for w, r in replies.items()
             if r.get("metrics") is not None
         }
-        self._sync_trace_counters()
-        self._sync_log_counters()
+
+    def metrics_export(self) -> dict:
+        """Merged fleet metrics: per-worker-labelled series + fleet_*."""
+        exports = self._worker_exports()
+        self._sync_ring_counters()
         if self.otlp is not None:
             self.otlp.sync_metrics(self.registry)
         merged = merge_labeled_exports(exports, label="worker")
@@ -1320,12 +1279,7 @@ class FleetRouter:
 
     def metrics_summed(self) -> dict:
         """Fleet totals: counters summed, histograms bucket-merged."""
-        replies, _ = self.broadcast("metrics")
-        exports = {
-            w: r.get("metrics") for w, r in replies.items()
-            if r.get("metrics") is not None
-        }
-        return sum_exports(exports)
+        return sum_exports(self._worker_exports())
 
     def healthz(self) -> dict:
         """Fleet readiness: degraded if any worker is degraded or dead.
@@ -1411,7 +1365,7 @@ class FleetRouter:
                 "scatter_retries": self._m["scatter_retries"].value(),
                 "supervision": self.supervisor.snapshot(),
                 "recoveries": {
-                    w: wire.to_jsonable(self.flight.ring(w))
+                    w: to_jsonable(self.flight.ring(w))
                     for w in self.flight.sessions()
                 },
                 "chaos_events": (
@@ -1420,25 +1374,7 @@ class FleetRouter:
                 "placements": {
                     s: self.place(s) for s in sorted(self.sessions)
                 },
-                "trace": (
-                    {
-                        "retained": len(self.trace),
-                        "ingested": self.trace.ingested,
-                        "dropped": self.trace.dropped,
-                    }
-                    if self.trace is not None
-                    else None
-                ),
-                "logs": (
-                    {
-                        "retained": len(self.logs),
-                        "ingested": self.logs.ingested,
-                        "dropped": self.logs.dropped,
-                    }
-                    if self.logs is not None
-                    else None
-                ),
-                "otlp": self.otlp.stats() if self.otlp is not None else None,
+                **self._telemetry_accounting(),
             },
             "aggregate": agg,
             "workers": worker_stats,
@@ -1459,15 +1395,13 @@ class FleetRouter:
         the drain not-ok by definition (its queries cannot be
         accounted for).
         """
-        self.drain_spans()  # final sweeps while the workers still answer
-        self.drain_logs()
+        self.drain_telemetry()  # final sweep while the workers still answer
         report: Dict[str, dict] = dict(self._drained)
         for worker in self.live_workers():
             handle = self.handles[worker]
             try:
                 reply = self._call(worker, "drain")
-                self._ingest_spans(worker, reply.get("spans"))
-                self._ingest_logs(worker, reply.get("logs"))
+                self._ingest(worker, reply)
                 report[worker] = {
                     "pending": int(reply.get("pending", -1)),
                     "drained": bool(reply.get("drained", False)),
@@ -1573,338 +1507,3 @@ def _aggregate_stats(worker_stats: List[dict]) -> dict:
     agg["resilience"] = resilience
     agg["workers_reporting"] = len(worker_stats)
     return agg
-
-
-# -- HTTP front-end --------------------------------------------------------
-
-
-class FleetServer:
-    """Router behind the serve-mode HTTP surface, fleet edition.
-
-    Routes: ``/metrics`` (merged exposition), ``/healthz`` (fleet
-    readiness, 503 while degraded), ``/statsz`` (strict-JSON fleet
-    snapshot), ``/tracez`` (merged fleet timeline, ``?format=chrome``
-    for trace_event JSON), ``/logz`` (merged structured log stream,
-    filterable by level / worker / trace id), ``/debugz`` (one
-    strict-JSON diagnostics snapshot), ``/profilez`` (per-worker
-    kernel profiles).  Malformed query params answer 400 with a JSON
-    error body, never a 500 traceback.
-    A background load pump fans seeded synthetic ticks to
-    the workers so a scraped fleet shows a live, moving system, and a
-    supervision loop heals dead workers (restart + ledger replay) so a
-    SIGKILLed worker shows up in ``/healthz`` as degraded, then
-    recovers.
-    """
-
-    def __init__(
-        self,
-        router: FleetRouter,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        load_queries_per_tick: int = 0,
-        load_tick_ms: float = 2.0,
-        load_interval_s: float = 0.05,
-        heal_interval_s: float = 0.25,
-        trace_interval_s: float = 0.5,
-    ) -> None:
-        self.router = router
-        self.host = host
-        self.port = port
-        self.load_queries_per_tick = load_queries_per_tick
-        self.load_tick_ms = load_tick_ms
-        self.load_interval_s = load_interval_s
-        self.heal_interval_s = heal_interval_s
-        self.trace_interval_s = trace_interval_s
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._pump: Optional[threading.Thread] = None
-        self._healer: Optional[threading.Thread] = None
-        self._trace_pump: Optional[threading.Thread] = None
-        self._halt = threading.Event()
-        self._shut = False
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> Tuple[str, int]:
-        if self._httpd is not None:
-            raise RuntimeError("fleet server already started")
-        # Imported on first listen: a process that serves no HTTP never
-        # loads http.server, http.client or ssl.
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        server = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            server_version = "repro-fleet/1.0"
-            protocol_version = "HTTP/1.1"
-
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                try:
-                    status, ctype, body = server.respond(self.path)
-                except Exception as exc:
-                    status, ctype = 500, JSON_CONTENT_TYPE
-                    body = json.dumps({"error": repr(exc)}).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, fmt, *args) -> None:
-                pass
-
-        self._httpd = ThreadingHTTPServer((self.host, self.port), _Handler)
-        self._httpd.daemon_threads = True
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="fleet-http", daemon=True
-        )
-        self._thread.start()
-        if self.load_queries_per_tick > 0:
-            self._pump = threading.Thread(
-                target=self._pump_loop, name="fleet-load-pump", daemon=True
-            )
-            self._pump.start()
-        if self.router.config.supervise:
-            self._healer = threading.Thread(
-                target=self._heal_loop, name="fleet-healer", daemon=True
-            )
-            self._healer.start()
-        if self.router.trace is not None or self.router.logs is not None:
-            self._trace_pump = threading.Thread(
-                target=self._trace_loop, name="fleet-trace-drain", daemon=True
-            )
-            self._trace_pump.start()
-        return self.host, self.port
-
-    def _pump_loop(self) -> None:
-        while not self._halt.is_set():
-            try:
-                self.router.run_load(
-                    ticks=1,
-                    queries_per_tick=self.load_queries_per_tick,
-                    tick_ms=self.load_tick_ms,
-                )
-            except RuntimeError:
-                # No live workers right now; the healer may still bring
-                # some back, so keep pumping until shutdown.
-                pass
-            self._halt.wait(self.load_interval_s)
-
-    def _heal_loop(self) -> None:
-        """Background supervision: serve mode heals on the wall-floored
-        clock (an idle fleet's backoff must still elapse)."""
-        while not self._halt.is_set():
-            try:
-                self.router.heal(now=self.router.wall_now_ms())
-            except Exception:
-                pass  # supervision must never kill the serving loop
-            self._halt.wait(self.heal_interval_s)
-
-    def _trace_loop(self) -> None:
-        """Periodic trace_drain + log_drain sweep: spans and log
-        records stranded between submits (or orphaned by a worker
-        death) still reach the assemblers."""
-        while not self._halt.is_set():
-            try:
-                self.router.drain_spans()
-                self.router.drain_logs()
-            except Exception:
-                pass  # telemetry collection must never kill serving
-            self._halt.wait(self.trace_interval_s)
-
-    def shutdown(self) -> Dict[str, Any]:
-        """Stop load, drain the fleet, close the listener; idempotent."""
-        if self._shut:
-            return self.router._drained and {
-                "ok": all(
-                    e.get("drained") and e.get("exitcode") == 0
-                    for e in self.router._drained.values()
-                ),
-                "workers": self.router._drained,
-            } or {"ok": False, "workers": {}}
-        self._shut = True
-        self._halt.set()
-        if self._pump is not None:
-            self._pump.join(timeout=10.0)
-        if self._healer is not None:
-            self._healer.join(timeout=10.0)
-        if self._trace_pump is not None:
-            self._trace_pump.join(timeout=10.0)
-        report = self.router.drain()
-        if self.router.otlp is not None:
-            # After the final drain sweep the assembler has everything;
-            # one last flush, then the exporter thread stops.
-            self.router.otlp.stop(flush=True)
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        return report
-
-    def __enter__(self) -> "FleetServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    # -- routing ---------------------------------------------------------
-
-    def respond(self, path: str) -> Tuple[int, str, bytes]:
-        """Route one GET (shared by the HTTP handler and the tests)."""
-        parts = urlsplit(path)
-        route = parts.path.rstrip("/") or "/"
-        if route == "/metrics":
-            return 200, METRICS_CONTENT_TYPE, self.router.metrics_text().encode()
-        if route == "/healthz":
-            health = self.router.healthz()
-            return self._json(200 if health["ok"] else 503, health)
-        if route == "/statsz":
-            return self._statsz(parts.query)
-        if route == "/tracez":
-            return self._tracez(parts.query)
-        if route == "/logz":
-            return self._logz(parts.query)
-        if route == "/debugz":
-            return self._json(200, self.router.debugz())
-        if route == "/profilez":
-            return self._json(200, self.router.profilez())
-        return self._json(
-            404,
-            {
-                "error": f"no route {route!r}",
-                "routes": [
-                    "/metrics", "/healthz", "/statsz", "/tracez", "/logz",
-                    "/debugz", "/profilez",
-                ],
-            },
-        )
-
-    @staticmethod
-    def _parse_limit(params: dict):
-        """``?limit=N`` → (limit, error_payload).  Malformed or negative
-        values are a client error (400 + JSON body), never a traceback.
-        """
-        if "limit" not in params:
-            return None, None
-        raw = params["limit"][-1]
-        try:
-            limit = int(raw)
-        except ValueError:
-            return None, {"error": f"limit must be an integer, got {raw!r}"}
-        if limit < 0:
-            return None, {"error": f"limit must be >= 0, got {limit}"}
-        return limit, None
-
-    def _statsz(self, query: str) -> Tuple[int, str, bytes]:
-        _, bad = self._parse_limit(parse_qs(query))
-        if bad is not None:
-            return self._json(400, bad)
-        return self._json(200, self.router.statsz())
-
-    def _tracez(self, query: str) -> Tuple[int, str, bytes]:
-        """Merged fleet timeline; ``?limit=N`` caps the span list and
-        ``?format=chrome`` returns the Chrome trace_event export."""
-        params = parse_qs(query)
-        limit, bad = self._parse_limit(params)
-        if bad is not None:
-            return self._json(400, bad)
-        if params.get("format", [""])[-1] == "chrome":
-            if self.router.trace is None:
-                return self._json(200, {"traceEvents": []})
-            self.router.drain_spans()
-            return self._json(200, self.router.trace.chrome_trace())
-        return self._json(200, self.router.tracez(limit=limit))
-
-    def _logz(self, query: str) -> Tuple[int, str, bytes]:
-        """Merged fleet log stream; ``?limit=N`` caps the record list,
-        ``?level=warn`` is a severity floor, ``?worker=w0`` and
-        ``?trace_id=...`` are exact-match filters."""
-        params = parse_qs(query)
-        limit, bad = self._parse_limit(params)
-        if bad is not None:
-            return self._json(400, bad)
-        level = params.get("level", [None])[-1]
-        if level is not None and level not in LEVELS:
-            return self._json(
-                400,
-                {"error": f"level must be one of {list(LEVELS)}, "
-                          f"got {level!r}"},
-            )
-        worker = params.get("worker", [None])[-1]
-        trace_id = params.get("trace_id", [None])[-1]
-        return self._json(
-            200,
-            self.router.logz(
-                limit=limit, level=level, worker=worker, trace_id=trace_id
-            ),
-        )
-
-    @staticmethod
-    def _json(status: int, payload: dict) -> Tuple[int, str, bytes]:
-        # allow_nan=False: the strict-JSON contract, fleet-wide.
-        body = json.dumps(payload, indent=2, allow_nan=False).encode()
-        return status, JSON_CONTENT_TYPE, body
-
-
-def run_fleet(
-    server: FleetServer,
-    *,
-    duration_s: Optional[float] = None,
-    announce=print,
-) -> int:
-    """Blocking fleet loop with SIGTERM/SIGINT fan-out drain.
-
-    Mirrors :func:`repro.service.serve.run_serve`: runs until a signal
-    (or ``duration_s``), then drains the whole fleet.  Exit code 0
-    *only* when every current worker drained clean and exited 0 —
-    deaths healed by the supervisor do not taint the exit.
-    """
-    stop = threading.Event()
-    previous = {}
-
-    def _on_signal(signum, frame) -> None:
-        stop.set()
-
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            previous[sig] = signal.signal(sig, _on_signal)
-        except ValueError:
-            pass  # not the main thread (tests drive run_fleet directly)
-    host, port = server.start()
-    announce(
-        f"fleet of {len(server.router.handles)} workers on "
-        f"http://{host}:{port} (/metrics /healthz /statsz /tracez /logz "
-        "/debugz /profilez) — SIGTERM or Ctrl-C drains every worker "
-        "and exits"
-    )
-    deadline = time.monotonic() + duration_s if duration_s else None
-    try:
-        while not stop.is_set():
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            stop.wait(0.1)
-    finally:
-        report = server.shutdown()
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-    pendings = {
-        w: e.get("pending") for w, e in report["workers"].items()
-    }
-    announce(
-        f"fleet drained and stopped (ok={report['ok']}, "
-        f"restarts={report.get('restarts_total', 0)}, "
-        f"pending per worker: {pendings})"
-    )
-    if not report["ok"]:
-        # A not-ok drain must say why, per worker, or the exit code is
-        # undebuggable from the smoke-job log alone.
-        for worker, entry in sorted(report["workers"].items()):
-            if entry.get("error") or entry.get("exitcode") != 0:
-                announce(
-                    f"  {worker}: error={entry.get('error')!r} "
-                    f"exitcode={entry.get('exitcode')}"
-                )
-    return 0 if report["ok"] else 1

@@ -10,48 +10,46 @@ router-side breaker).
 Frames are plain dicts with a ``cmd`` / ``ok`` discriminator
 (transport pickling is the pipe's; query coordinates and result rows
 ride as numpy arrays to stay bit-exact).  Anything destined for an
-HTTP surface is converted with :func:`to_jsonable` *before* it crosses
-the pipe, so ``/statsz`` aggregation on the router never sees a numpy
-scalar.
+HTTP surface is converted with
+:func:`repro.telemetry.http.to_jsonable` *before* it crosses the pipe,
+so ``/statsz`` aggregation on the router never sees a numpy scalar.
 
 Commands (see ``docs/FLEET.md`` for the full contract):
 
-===============  =====================================================
-``ping``         liveness + worker id echo
-``register``     build a session (tree + plan) on this worker
-``submit``       execute a coords batch; per-query resolutions back
-``run_load``     run N seeded synthetic load ticks locally, keep tickets
-``advance``      advance the worker's logical clock
-``flush``        force-flush pending batches
-``stats``        strict-JSON ServiceStats snapshot
-``metrics``      metrics-registry JSON export (None if telemetry off)
-``health``       TraversalService.health() payload
-``trace_drain``  drain the worker tracer's outbox of finished spans
-``log_drain``    drain the worker event log's outbox of records
-``profile``      kernel-profiler snapshot (None if profiler off)
-``flight``       flight-recorder dumps (None if telemetry off)
-``drain``        flush everything, reply with pending depth, then exit
-===============  =====================================================
+===================  =================================================
+``ping``             liveness + worker id echo
+``register``         build a session (tree + plan) on this worker
+``submit``           execute a coords batch; per-query resolutions back
+``run_load``         run N seeded synthetic load ticks locally
+``advance``          advance the worker's logical clock
+``flush``            force-flush pending batches
+``stats``            strict-JSON ServiceStats snapshot
+``metrics``          metrics-registry JSON export (None if telemetry off)
+``health``           TraversalService.health() payload
+``telemetry_drain``  drain the tracer's and event log's outboxes
+``profile``          kernel-profiler snapshot (None if profiler off)
+``flight``           flight-recorder dumps (None if telemetry off)
+``drain``            flush everything, reply with pending depth, exit
+===================  =================================================
 
 Distributed tracing rides on the existing frames: ``submit`` requests
 may carry a ``trace`` key (:meth:`TraceContext.to_wire` payload) that
 the worker's tracer adopts for the frame's duration, and ``submit`` /
 ``run_load`` / ``drain`` replies may carry back a ``spans`` key — the
-worker outbox's finished-span dicts — so spans piggyback on traffic
-that is flowing anyway.  ``trace_drain`` is the periodic sweep that
-catches spans stranded between submits (and the final sweep before a
+worker outbox's finished-span dicts — and a ``logs`` key — the worker
+event log's outbox — so both signals piggyback on traffic that is
+flowing anyway.  ``telemetry_drain`` is the periodic sweep that
+catches what is stranded between submits (and the final sweep before a
 worker exits), so a ticket rerouted after a worker death still has its
-partial spans in the router's assembler.  Structured log records ride
-the same way: a ``logs`` key on the same replies carries the worker
-event log's outbox, and ``log_drain`` is the matching periodic sweep —
-one shipping discipline for both signals.
+partial spans in the router's ring: its reply carries the same two
+keys, each present only when there is something to ship.  Flight
+dumps stay behind their own ``flight`` snapshot verb: shipping them on
+every sweep would copy the same dumps again and again.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
-
-import numpy as np
 
 #: every verb a worker understands; the worker loop rejects anything
 #: else with a typed error reply instead of dying.
@@ -65,8 +63,7 @@ COMMANDS = (
     "stats",
     "metrics",
     "health",
-    "trace_drain",
-    "log_drain",
+    "telemetry_drain",
     "profile",
     "flight",
     "drain",
@@ -141,33 +138,6 @@ def call(
     and WireError on an error frame (the worker itself stayed up)."""
     send_request(conn, worker, cmd, **payload)
     return recv_reply(conn, worker, timeout=timeout)
-
-
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert a payload to strict-JSON-safe primitives.
-
-    Numpy scalars/arrays become Python numbers/lists; non-finite floats
-    become ``None`` — the fleet-wide extension of the NaN-free contract
-    from :mod:`repro.service.stats` (``json.dumps(..., allow_nan=False)``
-    must never see a bare ``NaN`` token, even for an empty-worker
-    snapshot).
-    """
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if np.isfinite(f) else None
-    if obj is None or isinstance(obj, str):
-        return obj
-    return str(obj)
 
 
 def ticket_payload(ticket) -> Dict[str, Any]:

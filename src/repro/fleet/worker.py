@@ -27,6 +27,7 @@ from repro.fleet import wire
 from repro.fleet.hashring import stable_hash
 from repro.fleet.ledger import data_digest
 from repro.service.resilience import ServiceError
+from repro.telemetry.http import to_jsonable
 
 #: exit codes the router checks after join().
 EXIT_DRAINED = 0
@@ -102,30 +103,23 @@ def _tracer(state: _WorkerState):
     return tel.tracer if tel.enabled else None
 
 
-def _event_log(state: _WorkerState):
-    """This worker's event log, or None when logging is off — same
-    guard discipline as :func:`_tracer`."""
-    tel = state.service.telemetry
-    return tel.log if tel.enabled else None
-
-
-def _attach_spans(state: _WorkerState, reply: Dict[str, Any]) -> Dict[str, Any]:
+def _attach_telemetry(
+    state: _WorkerState, reply: Dict[str, Any]
+) -> Dict[str, Any]:
     """Piggyback outbox'd spans *and* log records onto a reply frame.
 
     Each key is only present when there is something to ship: a
     telemetry-off fleet sends byte-identical frames to the
-    pre-tracing protocol.
+    pre-tracing protocol, and answers a ``telemetry_drain`` sweep with
+    a bare ok frame.
     """
-    tracer = _tracer(state)
-    if tracer is not None and tracer.outbox_enabled:
-        spans = tracer.drain_outbox()
-        if spans:
-            reply["spans"] = spans
-    log = _event_log(state)
-    if log is not None and log.outbox_enabled:
-        records = log.drain_outbox()
-        if records:
-            reply["logs"] = records
+    tel = state.service.telemetry
+    if tel.enabled:
+        for key, source in (("spans", tel.tracer), ("logs", tel.log)):
+            if source is not None and source.outbox_enabled:
+                items = source.drain_outbox()
+                if items:
+                    reply[key] = items
     return reply
 
 
@@ -190,7 +184,9 @@ def _handle_submit(state: _WorkerState, frame: Dict[str, Any]) -> Dict[str, Any]
             "result": None,
             "error": {"code": getattr(err, "code", "error"), "message": str(err)},
         }
-    return _attach_spans(state, wire.ok_reply(results=results, now_ms=svc.now_ms))
+    return _attach_telemetry(
+        state, wire.ok_reply(results=results, now_ms=svc.now_ms)
+    )
 
 
 def _handle_run_load(state: _WorkerState, frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -229,7 +225,7 @@ def _handle_run_load(state: _WorkerState, frame: Dict[str, Any]) -> Dict[str, An
             )
             for t in record
         ]
-    return _attach_spans(state, wire.ok_reply(**reply))
+    return _attach_telemetry(state, wire.ok_reply(**reply))
 
 
 def _handle_frame(state: _WorkerState, frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -253,38 +249,26 @@ def _handle_frame(state: _WorkerState, frame: Dict[str, Any]) -> Dict[str, Any]:
         dispatched = svc.flush(frame.get("session"))
         return wire.ok_reply(dispatched=dispatched, now_ms=svc.now_ms)
     if cmd == "stats":
-        return wire.ok_reply(stats=wire.to_jsonable(svc.stats().to_dict()))
+        return wire.ok_reply(stats=to_jsonable(svc.stats().to_dict()))
     if cmd == "metrics":
         tel = svc.telemetry
         if not tel.enabled or tel.registry is None:
             return wire.ok_reply(metrics=None)
         return wire.ok_reply(metrics=tel.registry.to_dict())
     if cmd == "health":
-        return wire.ok_reply(health=wire.to_jsonable(svc.health()))
-    if cmd == "trace_drain":
-        tracer = _tracer(state)
-        if tracer is None or not tracer.outbox_enabled:
-            return wire.ok_reply(spans=None, dropped=0)
-        return wire.ok_reply(
-            spans=tracer.drain_outbox(), dropped=tracer.outbox_dropped
-        )
-    if cmd == "log_drain":
-        log = _event_log(state)
-        if log is None or not log.outbox_enabled:
-            return wire.ok_reply(logs=None, dropped=0)
-        return wire.ok_reply(
-            logs=log.drain_outbox(), dropped=log.outbox_dropped
-        )
+        return wire.ok_reply(health=to_jsonable(svc.health()))
+    if cmd == "telemetry_drain":
+        return _attach_telemetry(state, wire.ok_reply())
     if cmd == "profile":
         tel = svc.telemetry
         if not tel.enabled or tel.profiler is None:
             return wire.ok_reply(profile=None)
-        return wire.ok_reply(profile=wire.to_jsonable(tel.profiler.snapshot()))
+        return wire.ok_reply(profile=to_jsonable(tel.profiler.snapshot()))
     if cmd == "flight":
         tel = svc.telemetry
         if not tel.enabled or tel.flight is None:
             return wire.ok_reply(flight=None)
-        return wire.ok_reply(flight=wire.to_jsonable(tel.flight.to_dict()))
+        return wire.ok_reply(flight=to_jsonable(tel.flight.to_dict()))
     return wire.error_reply(f"unknown command {cmd!r}")
 
 
@@ -325,16 +309,14 @@ def worker_main(
             pass
         sys.exit(EXIT_CRASH)
     state = _WorkerState(worker_id, worker_index, base_seed, service)
-    tracer = _tracer(state)
-    if tracer is not None:
-        # Finished spans ride back on reply frames (and trace_drain
-        # sweeps) to the router's fleet-wide assembler.
-        tracer.enable_outbox()
-    log = _event_log(state)
-    if log is not None:
-        # Log records ship the same way spans do: the outbox rides
-        # reply frames and log_drain sweeps to the fleet assembler.
-        log.enable_outbox()
+    tel = service.telemetry
+    log = tel.log if tel.enabled else None
+    if tel.enabled:
+        # Finished spans and log records ride back on reply frames (and
+        # telemetry_drain sweeps) to the router's rings.
+        for source in (tel.tracer, tel.log):
+            if source is not None:
+                source.enable_outbox()
     conn.send(wire.ok_reply(worker=worker_id, booted=True))
     exit_code = EXIT_ROUTER_GONE
     while True:
@@ -357,7 +339,7 @@ def worker_main(
                         "worker.drain", service.now_ms,
                         pending=pending, drained=pending == 0,
                     )
-                conn.send(_attach_spans(state, wire.ok_reply(
+                conn.send(_attach_telemetry(state, wire.ok_reply(
                     pending=pending, drained=pending == 0
                 )))
                 exit_code = EXIT_DRAINED

@@ -427,11 +427,8 @@ def main(argv=None) -> int:
     )
 
     if args.serve:
-        from repro.service.serve import (
-            SyntheticLoadDriver,
-            TraversalServer,
-            run_serve,
-        )
+        from repro.service.serve import SyntheticLoadDriver, TraversalServer
+        from repro.telemetry.http import serve_until_signalled
 
         svc = build_service(cfg, args.data, args.seed)
         otlp = None
@@ -454,7 +451,7 @@ def main(argv=None) -> int:
                 tick_ms=args.load_tick_ms,
                 queries_per_tick=args.load_queries_per_tick,
             )
-        return run_serve(server, duration_s=args.serve_duration)
+        return serve_until_signalled(server, duration_s=args.serve_duration)
 
     mode = "chaos" if args.chaos else "demo"
     if not args.as_json:

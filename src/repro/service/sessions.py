@@ -7,7 +7,9 @@ through the shared :class:`~repro.core.plancache.PlanCache` (autoropes
 against the cached plan with only a fresh batch-sized evaluation
 context.  Registering the same app over the same dataset again — even
 under a different session name — reuses the built tree and hits the
-plan cache instead of recompiling.
+plan cache instead of recompiling, as long as a session over that pair
+is live: the last session to unregister takes the tree and plan with
+it, so a long-running process with session churn stays bounded.
 
 Ad-hoc service queries are *not* dataset members, so their
 ``orig_ids`` are set to ``-1``: the apps' self-exclusion tests
@@ -219,10 +221,24 @@ class SessionRegistry:
     def unregister(self, name: str) -> bool:
         """Remove a session; idempotent (False if it was not there).
 
-        The built tree and compiled plan stay cached — a later
-        ``register`` of the same (app, data) pair reuses them.
+        While another session holds the same (app, data) pair, the
+        built tree and compiled plan stay cached and a later
+        ``register`` of the pair reuses them.  The last session to go
+        takes them with it: the build, the plan and the plan's
+        generated functions are dropped (:meth:`PlanCache.release`).
+        The check runs here, against the remaining sessions, so that
+        ``register`` pays nothing for it.
         """
-        return self._sessions.pop(name, None) is not None
+        session = self._sessions.pop(name, None)
+        if session is None:
+            return False
+        key = session.plan_key
+        if key is not None and all(
+            s.plan_key != key for s in self._sessions.values()
+        ):
+            self._builds.pop(key, None)
+            self.plans.release(key)
+        return True
 
     def refresh_plan(self, name: str) -> TreeSession:
         """Invalidate and recompile a session's plan (failure recovery).

@@ -23,8 +23,8 @@ Design constraints, matching the rest of :mod:`repro.telemetry`:
 3. **Bounded.**  The ring drops oldest at capacity and counts drops
    (``log_records_dropped_total`` via the ``on_drop`` hook); the
    optional outbox — finished records awaiting shipment over a worker
-   reply pipe, exactly like the tracer's span outbox — is bounded the
-   same way.
+   reply pipe — is the tracer's :class:`~repro.telemetry.tracing.Outbox`,
+   bounded the same way.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
+from repro.telemetry.tracing import Outbox
+
 #: severity order, least to most severe.  A level *filter* is a floor:
 #: ``level="warn"`` selects warn and error records.
 LEVELS = ("debug", "info", "warn", "error")
 _LEVEL_RANK = {name: rank for rank, name in enumerate(LEVELS)}
 
 DEFAULT_LOG_CAPACITY = 10_000
-DEFAULT_OUTBOX_CAPACITY = 4096
 
 
 def level_rank(level: str) -> int:
@@ -51,7 +52,7 @@ def level_rank(level: str) -> int:
         ) from None
 
 
-class EventLog:
+class EventLog(Outbox):
     """Bounded ring of structured log records, trace-correlated.
 
     Records are plain dicts (JSON-safe by construction)::
@@ -128,7 +129,8 @@ class EventLog:
                 self.on_drop()
         self._ring.append(rec)
         self.recorded += 1
-        self._ship(rec)
+        if self._outbox is not None:
+            self._ship(rec)
         return rec
 
     def debug(self, event: str, t_ms: float, **fields) -> dict:
@@ -142,35 +144,6 @@ class EventLog:
 
     def error(self, event: str, t_ms: float, **fields) -> dict:
         return self.log("error", event, t_ms, **fields)
-
-    # -- outbox (cross-process shipment) --------------------------------
-
-    def enable_outbox(self, capacity: int = DEFAULT_OUTBOX_CAPACITY) -> None:
-        """Start collecting records for shipment over a reply pipe."""
-        if self._outbox is None:
-            self._outbox = deque()
-        self.outbox_capacity = int(capacity)
-
-    @property
-    def outbox_enabled(self) -> bool:
-        return self._outbox is not None
-
-    def drain_outbox(self) -> List[dict]:
-        """Return and clear every record awaiting shipment."""
-        if not self._outbox:
-            return []
-        out = list(self._outbox)
-        self._outbox.clear()
-        return out
-
-    def _ship(self, rec: dict) -> None:
-        box = self._outbox
-        if box is None:
-            return
-        if len(box) >= self.outbox_capacity:
-            box.popleft()
-            self.outbox_dropped += 1
-        box.append(rec)
 
     # -- reading ---------------------------------------------------------
 

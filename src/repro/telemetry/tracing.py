@@ -45,7 +45,7 @@ from typing import Callable, Deque, Dict, List, Optional
 _TRACK_PIDS = {"query": 1, "batch": 2, "launch": 3, "service": 4}
 _DEFAULT_PID = 9
 
-#: default outbox ring capacity (finished spans awaiting shipment).
+#: default outbox ring capacity (finished items awaiting shipment).
 DEFAULT_OUTBOX_CAPACITY = 4096
 
 
@@ -168,7 +168,46 @@ class Span:
         }
 
 
-class Tracer:
+class Outbox:
+    """Cross-process shipment, shared by :class:`Tracer` and
+    :class:`~repro.telemetry.logging.EventLog`: once enabled, finished
+    items (as dicts) collect in a bounded drop-oldest buffer that a
+    fleet worker drains onto its reply frames.  Off until
+    :meth:`enable_outbox`, so a process that ships nothing pays one
+    ``None`` check per item.  Subclasses set ``_outbox = None``,
+    ``outbox_capacity`` and ``outbox_dropped`` in ``__init__``."""
+
+    __slots__ = ()
+
+    def enable_outbox(self, capacity: int = DEFAULT_OUTBOX_CAPACITY) -> None:
+        """Start collecting finished items for shipment."""
+        if self._outbox is None:
+            self._outbox = deque()
+        self.outbox_capacity = int(capacity)
+
+    @property
+    def outbox_enabled(self) -> bool:
+        return self._outbox is not None
+
+    def drain_outbox(self) -> List[dict]:
+        """Return and clear every item awaiting shipment."""
+        if not self._outbox:
+            return []
+        out = list(self._outbox)
+        self._outbox.clear()
+        return out
+
+    def _ship(self, item: dict) -> None:
+        """Queue one item; callers check ``_outbox is not None`` first,
+        so the off path builds no dict."""
+        box = self._outbox
+        if len(box) >= self.outbox_capacity:
+            box.popleft()
+            self.outbox_dropped += 1
+        box.append(item)
+
+
+class Tracer(Outbox):
     """Creates spans, retains the most recent finished ones in a ring,
     exports Chrome JSON, and optionally ships finished spans via an
     outbox for cross-process assembly."""
@@ -210,35 +249,6 @@ class Tracer:
         """The trace id a span gets with no context active: derived
         from (trace_seed, span id), so it is stable across runs."""
         return derive_trace_id(self.trace_seed, key)
-
-    # -- outbox (cross-process shipment) --------------------------------
-
-    def enable_outbox(self, capacity: int = DEFAULT_OUTBOX_CAPACITY) -> None:
-        """Start collecting finished spans (as dicts) for shipment."""
-        if self._outbox is None:
-            self._outbox = deque()
-        self.outbox_capacity = int(capacity)
-
-    @property
-    def outbox_enabled(self) -> bool:
-        return self._outbox is not None
-
-    def drain_outbox(self) -> List[dict]:
-        """Return and clear every finished span awaiting shipment."""
-        if not self._outbox:
-            return []
-        out = list(self._outbox)
-        self._outbox.clear()
-        return out
-
-    def _ship(self, span: Span) -> None:
-        box = self._outbox
-        if box is None:
-            return
-        if len(box) >= self.outbox_capacity:
-            box.popleft()
-            self.outbox_dropped += 1
-        box.append(span.to_dict())
 
     # -- span lifecycle --------------------------------------------------
 
@@ -292,7 +302,8 @@ class Tracer:
         span = self._open.pop(span_id, None)
         if span is not None:
             span.finish(t_ms, status, **args)
-            self._ship(span)
+            if self._outbox is not None:
+                self._ship(span.to_dict())
         return span
 
     def get_open(self, span_id: str) -> Optional[Span]:
@@ -315,7 +326,8 @@ class Tracer:
                           parent_id=parent_id, trace_id=trace_id, **args)
         span.finish(t_end, status)
         self._open.pop(span_id, None)
-        self._ship(span)
+        if self._outbox is not None:
+            self._ship(span.to_dict())
         return span
 
     def instant(self, name: str, track: str, t_ms: float, **args) -> None:

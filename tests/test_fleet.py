@@ -23,9 +23,10 @@ import pytest
 from repro.fleet import FleetConfig, FleetRouter, HashRing, ProcessPool
 from repro.fleet.hashring import stable_hash
 from repro.fleet.pool import PoolJobError
-from repro.fleet.router import FleetServer, _aggregate_stats, _weighted_mean
+from repro.fleet.router import _aggregate_stats, _weighted_mean
+from repro.fleet.server import FleetServer
 from repro.fleet.slicing import gather, gather_arrays, scatter, scatter_slices
-from repro.fleet.wire import make_chaos_payload, to_jsonable
+from repro.fleet.wire import make_chaos_payload
 from repro.fleet.worker import derive_seed
 from repro.gpusim.faults import ChaosConfig
 from repro.points.datasets import dataset_by_name
@@ -36,6 +37,7 @@ from repro.telemetry import (
     merge_labeled_exports,
     sum_exports,
 )
+from repro.telemetry.http import to_jsonable
 
 from tests.test_serve import assert_valid_prometheus
 

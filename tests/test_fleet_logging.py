@@ -6,7 +6,7 @@ The e2e acceptance criteria of ISSUE 10 live here:
   records, ``/tracez`` spans, and a ``/metrics`` exemplar that all
   carry the SAME router-minted trace id — the telemetry triad joined;
 * worker records ship over the same reply pipes as spans (piggyback +
-  ``log_drain`` sweeps) and merge with the router's own records into
+  ``telemetry_drain`` sweeps) and merge with the router's own records into
   one deterministically-ordered stream: two same-seed runs (chaos kill
   included) produce bit-identical streams;
 * a ServiceError on a fleet worker leaves a flight-recorder dump
@@ -22,8 +22,8 @@ The e2e acceptance criteria of ISSUE 10 live here:
 
 import json
 
-from repro.fleet.logs import FleetLogAssembler
-from repro.fleet.router import FleetServer
+from repro.fleet.assembly import WorkerRing, record_order
+from repro.fleet.server import FleetServer
 from repro.telemetry import OTLPExporter, derive_trace_id
 from repro.telemetry.otlp import otlp_trace_id
 from tests.otlp_stub import OTLPCollectorStub, flatten_log_records
@@ -51,7 +51,7 @@ def _normalize_logs(records) -> list:
 
 class TestAssembler:
     def test_ingest_tags_bounds_and_sorts(self):
-        asm = FleetLogAssembler(capacity=3)
+        asm = WorkerRing("records", record_order, capacity=3)
         asm.ingest("w1", [
             {"seq": 0, "t_ms": 2.0, "level": "info", "event": "b"},
         ])
@@ -74,7 +74,7 @@ class TestAssembler:
         assert asm.to_dict(limit=1)["records"][0]["event"] == "d"
 
     def test_sink_failures_never_break_assembly(self):
-        asm = FleetLogAssembler()
+        asm = WorkerRing("records", record_order)
         asm.sink = lambda batch: 1 / 0
         assert asm.ingest("w0", [{"seq": 0, "t_ms": 0.0, "level": "info",
                                   "event": "x"}]) == 1
@@ -308,7 +308,7 @@ class TestHTTPSurface:
         try:
             geo = _register_geo(router)
             router.submit_many("pc-geocity", geo.points[:16], now=5.0)
-            router.drain_logs()
+            router.drain_telemetry()
             stats = router.statsz()["fleet"]["logs"]
             assert stats["ingested"] > 0
             assert stats["retained"] > 0
@@ -331,7 +331,8 @@ class TestZeroCostOff:
             assert router.logz() == {
                 "enabled": False, "records": [], "workers": [],
             }
-            assert router.drain_logs() == 0
+            _, records = router.drain_telemetry()
+            assert records == 0
             status, _, body = server.respond("/logz")
             assert status == 200
             assert json.loads(body)["enabled"] is False
@@ -352,7 +353,7 @@ class TestZeroCostOff:
         try:
             geo = _register_geo(router)
             router.submit_many("pc-geocity", geo.points[:16], now=5.0)
-            assert router.drain_logs() == 0
+            assert router.drain_telemetry() == (0, 0)
             payload = router.logz()
             workers = {r["worker"] for r in payload["records"]}
             assert workers <= {"router"}
@@ -374,8 +375,7 @@ class TestOTLPLogEgress:
                 router.attach_otlp(exporter)
                 geo = _register_geo(router)
                 router.submit_many("pc-geocity", geo.points[:16], now=5.0)
-                router.drain_spans()
-                router.drain_logs()
+                router.drain_telemetry()
                 exporter.flush()
                 stats = exporter.stats()
                 assert stats["posts_by_signal"]["traces"] >= 1

@@ -32,7 +32,8 @@ from repro.fleet.ledger import (
     SessionLedger,
     data_digest,
 )
-from repro.fleet.router import BREAKER_OPEN, FleetServer
+from repro.fleet.router import BREAKER_OPEN
+from repro.fleet.server import FleetServer
 from repro.fleet.supervisor import (
     DECIDE_EVICT,
     DECIDE_RESTART,

@@ -26,9 +26,9 @@ import numpy as np
 from repro.fleet.router import (
     FleetConfig,
     FleetRouter,
-    FleetServer,
     RestartPolicy,
 )
+from repro.fleet.server import FleetServer
 from repro.points.datasets import dataset_by_name
 from repro.telemetry import OTLPExporter, derive_trace_id
 from repro.telemetry.otlp import otlp_span_id, otlp_trace_id
@@ -283,7 +283,7 @@ class TestOTLPEgress:
                 router.attach_otlp(exporter)
                 geo = _register_geo(router)
                 router.submit_many("pc-geocity", geo.points[:16], now=5.0)
-                router.drain_spans()
+                router.drain_telemetry()
                 exporter.flush()
                 stats = router.statsz()["fleet"]["otlp"]
                 assert stats["posts_ok"] >= 1
@@ -338,7 +338,8 @@ class TestZeroCostOff:
             assert router.tracez() == {
                 "enabled": False, "spans": [], "workers": [],
             }
-            assert router.drain_spans() == 0
+            spans, _ = router.drain_telemetry()
+            assert spans == 0
             status, _, body = server.respond("/tracez")
             assert json.loads(body)["enabled"] is False
             status, _, body = server.respond("/tracez?format=chrome")
@@ -352,8 +353,8 @@ class TestZeroCostOff:
 
     def test_worker_telemetry_off_ships_no_spans(self):
         """Workers with telemetry disabled answer submit and
-        trace_drain without ever attaching a spans payload; the router
-        still traces its own tickets."""
+        telemetry_drain without ever attaching a spans payload; the
+        router still traces its own tickets."""
         router = _fleet(
             workers=2,
             service={"max_batch": 64, "max_wait_ms": 2.0,
@@ -363,7 +364,7 @@ class TestZeroCostOff:
             geo = _register_geo(router)
             res = router.submit_many("pc-geocity", geo.points[:16], now=5.0)
             assert all(r["ok"] for r in res)
-            assert router.drain_spans() == 0
+            assert router.drain_telemetry() == (0, 0)
             payload = router.tracez()
             assert payload["workers"] == ["router"]
             assert all(s["worker"] == "router" for s in payload["spans"])

@@ -448,10 +448,13 @@ class TestSessionLifecycle:
 
     def test_reregister_after_unregister_reuses_plan(self, random128):
         svc = make_service(random128)
+        # A second live session over the same data holds the tree and
+        # plan (the last session to unregister would free them).
+        svc.register("keep", app="nn", data=random128)
         svc.query("s", random128[0])
         svc.unregister("s")
         svc.register("s", app="nn", data=random128)
-        assert svc.stats().plan_cache.hits >= 1  # tree + plan were kept
+        assert svc.stats().plan_cache.hits >= 2  # tree + plan were kept
         assert svc.query("s", random128[1]).ok
 
 

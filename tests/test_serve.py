@@ -14,14 +14,10 @@ import numpy as np
 import pytest
 
 from repro.gpusim.faults import ChaosConfig
-from repro.service.serve import (
-    METRICS_CONTENT_TYPE,
-    SyntheticLoadDriver,
-    TraversalServer,
-    run_serve,
-)
+from repro.service.serve import SyntheticLoadDriver, TraversalServer
 from repro.service.service import ServiceConfig, TraversalService
 from repro.telemetry import SLOConfig, TelemetryConfig
+from repro.telemetry.http import METRICS_CONTENT_TYPE, serve_until_signalled
 
 def assert_valid_prometheus(text: str) -> None:
     """Strict structural validation of the text exposition format.
@@ -247,7 +243,7 @@ class TestHTTPServer:
             svc, server.lock, seed=5, queries_per_tick=4, interval_s=0.01
         )
         messages = []
-        rc = run_serve(
+        rc = serve_until_signalled(
             server, duration_s=0.3, announce=messages.append
         )
         assert rc == 0

@@ -441,3 +441,63 @@ class TestServiceConfig:
         assert arr.sort == "arrival" and cfg.sort == "morton"
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.sort = "tree"
+
+
+class TestSessionChurn:
+    """The last session over a plan key takes its build, plan and
+    generated functions with it; a live session still shares them."""
+
+    def test_churn_leaves_nothing_cached_and_memory_flat(self):
+        import gc
+        import tracemalloc
+
+        svc = TraversalService(ServiceConfig(max_batch=32, memo_capacity=0))
+        rng = np.random.default_rng(5)
+
+        def cycle(i):
+            data = rng.random((256, 2))
+            svc.register(f"s{i}", app="pc", data=data, radius=0.05)
+            tickets = svc.query_many(f"s{i}", data[:32],
+                                     now=svc.now_ms + 1.0)
+            assert all(t.ok for t in tickets)
+            svc.unregister(f"s{i}")
+
+        for i in range(10):  # warm-up: module caches, first emissions
+            cycle(i)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            for i in range(10, 60):
+                cycle(i)
+            gc.collect()
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stats = svc.plan_cache.stats()
+        assert stats.misses == 60 and stats.codegen_misses >= 60
+        assert (stats.size, stats.codegen_size, stats.invalidations) == (0, 0, 0)
+        assert not svc.registry._builds
+        # 50 cycles that each built, compiled and emitted, and freed it
+        # all: what stays live is bounded by noise, not by cycles.
+        assert live - base < 512 * 1024, live - base
+
+    def test_live_session_keeps_build_and_plan(self, geocity512):
+        svc = TraversalService(ServiceConfig())
+        events = []
+        svc.plan_cache.on_event = events.append
+        svc.register("a", app="pc", data=geocity512, radius=0.1, leaf_size=4)
+        svc.register("b", app="pc", data=geocity512, radius=0.1, leaf_size=4)
+        svc.unregister("a")
+        # "b" still holds the pair: nothing is freed, and registering
+        # it again skips the build and hits the plan.
+        built = svc.registry.get("b").app
+        svc.register("c", app="pc", data=geocity512, radius=0.1, leaf_size=4)
+        assert svc.registry.get("c").app is built
+        assert (svc.plan_cache.stats().hits, svc.plan_cache.stats().misses) == (2, 1)
+        svc.unregister("b")
+        svc.unregister("c")
+        assert len(svc.plan_cache) == 0 and not svc.registry._builds
+        # Freeing with the last session is not an invalidation.
+        assert "invalidate" not in events
+        assert svc.plan_cache.stats().invalidations == 0
